@@ -13,6 +13,7 @@
 #include "common/topology.hpp"
 #include "common/zipf.hpp"
 #include "core/admission.hpp"
+#include "core/executor.hpp"
 #include "core/planner.hpp"
 #include "log/log_writer.hpp"
 #include "log/plan_codec.hpp"
@@ -52,7 +53,7 @@ void BM_HashIndexLookup(benchmark::State& state) {
   for (quecc::key_t k = 0; k < (1 << 16); ++k) idx.insert(k, k);
   common::rng r(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.lookup(r.next_below(1 << 16)));
+    benchmark::DoNotOptimize(idx.lookup_unlocked(r.next_below(1 << 16)));
   }
 }
 BENCHMARK(BM_HashIndexLookup);
@@ -102,11 +103,9 @@ void BM_OrderedScan(benchmark::State& state) {
 }
 BENCHMARK(BM_OrderedScan)->Arg(64)->Arg(1024);
 
-// --- sharded-storage lookup paths ------------------------------------------
-// Same 8-arena table, two index paths: the stripe-locked lookup the
-// cross-partition baselines use vs the lock-free partition-local lookup
-// the planner/executors use. The delta is the per-lookup cost of the
-// stripe lock the queue-oriented planning already made unnecessary.
+// --- sharded-storage lookup path -------------------------------------------
+// An 8-arena table read through the one (lock-free, partition-local)
+// lookup path every engine uses.
 
 storage::database& sharded_lookup_db() {
   static storage::database db = [] {
@@ -121,16 +120,6 @@ storage::database& sharded_lookup_db() {
   }();
   return db;
 }
-
-void BM_StripedLookup(benchmark::State& state) {
-  auto& t = sharded_lookup_db().at(0);
-  common::rng r(1);
-  for (auto _ : state) {
-    const auto k = r.next_below(1 << 16);
-    benchmark::DoNotOptimize(t.lookup(k, static_cast<part_id_t>(k % 8)));
-  }
-}
-BENCHMARK(BM_StripedLookup);
 
 void BM_PartitionLocalLookup(benchmark::State& state) {
   auto& t = sharded_lookup_db().at(0);
@@ -151,7 +140,7 @@ void BM_TableRowAccess(benchmark::State& state) {
   for (quecc::key_t k = 0; k < (1 << 16); ++k) t.insert(k, p);
   common::rng r(1);
   for (auto _ : state) {
-    const auto rid = t.lookup(r.next_below(1 << 16));
+    const auto rid = t.lookup_local(r.next_below(1 << 16), 0);
     benchmark::DoNotOptimize(storage::read_u64(t.row(rid), 0));
   }
 }
@@ -193,6 +182,49 @@ void BM_PlanningPhase(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PlanningPhase)->Arg(256)->Arg(2048);
+
+// The execution layer alone: one executor drains one planned YCSB batch
+// (4096 txns x 10 ops, one conflict queue) through run_conflict_queues.
+// The table (4M rows, ~0.6 GB of rows and buckets; 256K rows under
+// QUECC_BENCH_QUICK) is larger than a typical LLC, so the per-fragment
+// time includes the bucket and row misses the drain's prefetch hides.
+// Arg = pipeline depth the batch is planned for: 1 = planner-resolved
+// rids, 2 = rids resolved by the executor (the pipelined default).
+void BM_ExecutorQueueDrain(benchmark::State& state) {
+  static storage::database* db = nullptr;
+  static wl::ycsb* w = nullptr;
+  if (db == nullptr) {
+    wl::ycsb_config wcfg;
+    wcfg.table_size =
+        std::getenv("QUECC_BENCH_QUICK") != nullptr ? 1u << 18 : 1u << 22;
+    wcfg.zipf_theta = 0.6;
+    w = new wl::ycsb(wcfg);
+    db = new storage::database;
+    w->load(*db);
+  }
+  common::config cfg;
+  cfg.planner_threads = 1;
+  cfg.executor_threads = 1;
+  cfg.pipeline_depth = static_cast<std::uint32_t>(state.range(0));
+  core::planner pl(0, cfg, *db);
+  core::executor ex(0, cfg, *db, nullptr);
+  core::plan_output out;
+  common::rng r(1);
+  txn::batch b;  // replaced (and the old one freed) outside the timing
+  std::int64_t frags = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    b = w->make_batch(r, 4096);
+    pl.plan(b, out);
+    const core::frag_queue* q = &out.conflict[0];
+    ex.begin_batch(0);
+    state.ResumeTiming();
+    ex.run_conflict_queues({&q, 1});
+    frags += static_cast<std::int64_t>(out.planned_frags);
+  }
+  state.SetItemsProcessed(frags);
+}
+BENCHMARK(BM_ExecutorQueueDrain)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_AdmissionSubmitDrain(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -143,7 +143,7 @@ int main() {
 
   std::printf("\nremaining seats per event:\n");
   for (quecc::key_t event = 0; event < 8; ++event) {
-    const auto rid = seats.lookup(event);
+    const auto rid = seats.lookup_local(event, 0);
     std::printf("  event %llu: %llu\n",
                 static_cast<unsigned long long>(event),
                 static_cast<unsigned long long>(

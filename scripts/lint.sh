@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
 # ---------------------------------------------------------------------------
-# Custom concurrency lints. Three rules:
+# Custom lints. Four rules:
 #
 # 1. No raw standard-library lock primitives outside common/mutex.hpp.
 #    std::mutex & friends carry no thread-safety attributes, so code using
@@ -33,6 +33,10 @@ BUILD_DIR="${1:-build}"
 #    preceding lines. A covered relaxed line extends cover to relaxed
 #    lines within the next four lines, so one comment may justify an
 #    adjacent cluster ("relaxed (all stores below): ...").
+#
+# 4. No reference to a design document that does not exist in the tree.
+#    Comments in src/, bench/, tests/, examples/, tools/ and scripts/ point
+#    at README sections or at other source files instead.
 # ---------------------------------------------------------------------------
 python3 - <<'PY'
 import pathlib
@@ -103,11 +107,30 @@ for path in sorted(SRC.rglob("*.[ch]pp")):
                 f"{rel}:{i}: memory_order_relaxed without a justifying "
                 "comment (say why relaxed is sound within the 4 lines above)")
 
+# Rule 4: dangling design-document references. The name is assembled so
+# that this rule does not match itself.
+MISSING_DOC = "DESIGN" + ".md"
+if not pathlib.Path(MISSING_DOC).exists():
+    for root in ("src", "bench", "tests", "examples", "tools", "scripts"):
+        for path in sorted(pathlib.Path(root).rglob("*")):
+            if not path.is_file():
+                continue
+            try:
+                text = path.read_text()
+            except (UnicodeDecodeError, OSError):
+                continue
+            for i, line in enumerate(text.splitlines(), 1):
+                if MISSING_DOC in line:
+                    errors.append(
+                        f"{path.as_posix()}:{i}: reference to {MISSING_DOC}, "
+                        "which does not exist — point at the README section "
+                        "or the source file that holds the content")
+
 if errors:
     print("\n".join(errors))
     print(f"\nlint: {len(errors)} finding(s)", file=sys.stderr)
     sys.exit(1)
-print("lint: custom concurrency lints clean")
+print("lint: custom lints clean")
 PY
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,30 @@
 
 namespace quecc::core {
 
+namespace {
+// Plan-driven prefetch. A queue's entries are fixed before execution
+// starts, so the drain knows its next accesses: while processing entry i
+// it prefetches the index bucket of entry i + kBucketPrefetchDistance and
+// the row of entry i + kRowPrefetchDistance. The row needs a rid, which at
+// depth >= 2 comes from a hint lookup into the bucket prefetched
+// kRowPrefetchDistance entries earlier — by then in cache. Hints only pick
+// what to load: their rids are never stored or used for execution, which
+// still resolves through resolve(), so an erase or insert between hint and
+// access cannot make a stale rid visible.
+constexpr std::size_t kRowPrefetchDistance = 8;
+constexpr std::size_t kBucketPrefetchDistance = 2 * kRowPrefetchDistance;
+
+/// Point accesses to an existing row: the only kinds with a row to fetch.
+/// Inserts create theirs, scans walk a range.
+bool reads_existing_row(const txn::fragment& f) noexcept {
+  return f.kind != txn::op_kind::insert && f.kind != txn::op_kind::scan;
+}
+}  // namespace
 
 void executor::run_conflict_queues(
     std::span<const frag_queue* const> queues) {
   reading_committed_ = false;
-  for (const frag_queue* q : queues) {
-    for (const frag_entry& e : *q) process(e);
-  }
+  for (const frag_queue* q : queues) drain(*q);
 }
 
 void executor::run_read_queues(std::span<const frag_queue* const> queues,
@@ -25,9 +42,47 @@ void executor::run_read_queues(std::span<const frag_queue* const> queues,
     // plan->exec stage hand-off, claiming needs atomicity only.
     const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
     if (i >= queues.size()) break;
-    for (const frag_entry& e : *queues[i]) process(e);
+    drain(*queues[i]);
   }
   reading_committed_ = false;
+}
+
+void executor::drain(const frag_queue& q) {
+  const std::size_t n = q.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kBucketPrefetchDistance < n) {
+      prefetch_bucket(q[i + kBucketPrefetchDistance]);
+    }
+    if (i + kRowPrefetchDistance < n) prefetch_row(q[i + kRowPrefetchDistance]);
+    process(q[i]);
+  }
+}
+
+void executor::prefetch_bucket(const frag_entry& e) const noexcept {
+  const txn::fragment& f = *e.f;
+  if (f.rid != storage::kNoRow || !reads_existing_row(f)) return;
+  db_.at(f.table).prefetch_key(f.key, f.part);
+}
+
+void executor::prefetch_row(const frag_entry& e) const noexcept {
+  const txn::fragment& f = *e.f;
+  if (!reads_existing_row(f)) return;
+  const storage::table& tab = db_.at(f.table);
+  storage::row_id_t rid = f.rid;
+  if (rid == storage::kNoRow) {
+    // No hint walk on ordered tables: a skip-list search is a pointer
+    // chase that one prefetch cannot cover, and walking it twice would
+    // double its cost.
+    if (tab.index() != storage::index_kind::hash) return;
+    rid = tab.lookup_local(f.key, f.part);
+    if (rid == storage::kNoRow) return;
+  }
+  if (reading_committed_) {
+    const auto row = committed_->committed_row(f.table, rid);
+    storage::prefetch_bytes(row.data(), row.size());
+  } else {
+    tab.prefetch_row(rid);
+  }
 }
 
 void executor::process(const frag_entry& e) {
@@ -42,8 +97,9 @@ void executor::process(const frag_entry& e) {
 
   // Data dependencies: wait for producer fragments (other executors) to
   // publish the slots this fragment consumes. Deadlock-free because
-  // producers sort strictly earlier in the global replay order
-  // (DESIGN.md 2.2) — unless the txn aborts, which breaks the wait.
+  // producers sort strictly earlier in the global replay order (inputs
+  // come from fragments with a smaller idx, see txn::validate_plan) —
+  // unless the txn aborts, which breaks the wait.
   if (f.input_mask != 0) {
     common::backoff bo;
     while (!t.inputs_ready(f.input_mask)) {
@@ -103,7 +159,11 @@ void executor::finish(txn::txn_desc& t) {
 }
 
 storage::row_id_t executor::resolve(const txn::fragment& f) const noexcept {
-  if (f.rid != storage::kNoRow) return f.rid;
+  // Read-queue rids name the committed image, which this batch's erases
+  // do not change.
+  if (f.rid != storage::kNoRow && (reading_committed_ || !erased_)) {
+    return f.rid;
+  }
   // Partition-local path: route to the fragment's home arena, no index
   // lock (hash_index lock-free reader contract).
   return db_.at(f.table).lookup_local(f.key, f.part);
@@ -166,6 +226,7 @@ bool executor::erase_row(const txn::fragment& f, txn::txn_desc& t) {
   const auto rid = resolve(f);
   if (rid == storage::kNoRow) return false;
   if (!db_.at(f.table).erase(f.key, f.part)) return false;
+  erased_ = true;
   logs_.undo.push_back(
       {t.seq, f.table, f.key, rid, txn::op_kind::erase, 0, 0});
   return true;

@@ -41,6 +41,7 @@ class executor final : public txn::frag_host {
   /// Called by the engine at the start of each batch's execution phase.
   void begin_batch(std::uint64_t batch_start_nanos) noexcept {
     batch_start_nanos_ = batch_start_nanos;
+    erased_ = false;
     logs_.clear();
   }
 
@@ -67,13 +68,21 @@ class executor final : public txn::frag_host {
                             scan_row_fn fn, void* ctx) override;
 
  private:
+  /// Process `q` in FIFO order, prefetching ahead (see executor.cpp).
+  EXEC_PHASE void drain(const frag_queue& q);
+  /// Prefetch hints for an entry still `kBucketPrefetchDistance` /
+  /// `kRowPrefetchDistance` positions ahead of the one being processed.
+  void prefetch_bucket(const frag_entry& e) const noexcept;
+  void prefetch_row(const frag_entry& e) const noexcept;
+
   EXEC_PHASE void process(const frag_entry& e);
   EXEC_PHASE void skip(const frag_entry& e);
   EXEC_PHASE void finish(txn::txn_desc& t);
 
   /// Resolve a fragment's row id, falling back to an execution-time index
   /// lookup for records created earlier in this batch (FIFO on the home
-  /// partition's queue makes the insert visible by now).
+  /// partition's queue makes the insert visible by now) and for every
+  /// record once this executor erased one (see erased_).
   storage::row_id_t resolve(const txn::fragment& f) const noexcept;
 
   void log_undo_update(const txn::fragment& f, txn::txn_desc& t,
@@ -87,6 +96,13 @@ class executor final : public txn::frag_host {
   common::latency_histogram latency_;
   std::uint64_t batch_start_nanos_ = 0;
   bool reading_committed_ = false;  ///< true while draining read queues
+  /// Set once this executor erased a key in the current batch. From then
+  /// on a rid the planner resolved may be stale (the key was erased, and
+  /// perhaps re-inserted under a new rid, by an earlier entry), so resolve()
+  /// looks every key up again. Every operation on a key runs on the one
+  /// executor that owns the key's queue, so a local flag sees every erase
+  /// that can affect this executor's lookups.
+  bool erased_ = false;
   /// Effective partition of the entry being processed; scan_rows scans it
   /// (the fragment itself may carry the kAllParts sentinel).
   part_id_t current_part_ = 0;

@@ -54,6 +54,9 @@ class frag_queue {
   void clear() noexcept { entries_.clear(); }
 
   std::size_t size() const noexcept { return entries_.size(); }
+  const frag_entry& operator[](std::size_t i) const noexcept {
+    return entries_[i];
+  }
   bool empty() const noexcept { return entries_.empty(); }
 
   auto begin() const { return entries_.begin(); }

@@ -99,7 +99,10 @@ void planner::plan(txn::batch& b, plan_output& out) {
   // so resolution defers to the executors' resolve() fallback. Execution
   // is serialized across batches, so the deferred lookups return exactly
   // the rids a lockstep run would have planned, and the planning stage
-  // touches no shared mutable state at all.
+  // touches no shared mutable state at all. The executors still pay those
+  // lookups, but not serially: their drain prefetches each entry's index
+  // bucket and row a few queue positions ahead (core/executor.cpp), so
+  // the two dependent misses per entry overlap with earlier entries' work.
   const bool resolve_index = cfg_.pipeline_depth <= 1;
   for (std::size_t i = begin; i < end; ++i) {
     txn::txn_desc& t = b.at(i);

@@ -14,7 +14,7 @@
 // DistBehaviour.QueccCommitCostIsPerBatchNotPerTxn test contrasts with
 // dist-quecc's constant per-batch bill.
 //
-// Simulation notes (DESIGN.md 2.5): nodes share one process and one
+// Simulation notes (see net/message.hpp): nodes share one process and one
 // storage engine, so a single worker executes the whole transaction after
 // the remote-read stall, and the N per-node schedulers — which would each
 // walk the identical replicated sequence — are folded into one pass in

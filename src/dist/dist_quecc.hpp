@@ -5,7 +5,8 @@
 // Every node runs its own planners and executors; planning produces, per
 // planner, one fragment-queue bundle per node. Bundles destined for remote
 // nodes are shipped over net::network (payloads stay in shared memory —
-// DESIGN.md 2.5 — the network models delivery latency and message counts),
+// see net/message.hpp — the network models delivery latency and message
+// counts),
 // and a node's executors start draining only after every remote bundle
 // addressed to the node has been delivered. Commitment needs no 2PC: the
 // two deterministic phases make the commit decision implicit, so the batch

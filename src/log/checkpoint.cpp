@@ -260,7 +260,7 @@ checkpoint_meta restore_checkpoint(const std::string& path,
       });
       for (key_t key : to_erase) t.erase(key, s);
       for (const auto& [key, payload] : snap_rows) {
-        const storage::row_id_t rid = t.lookup(key, s);
+        const storage::row_id_t rid = t.lookup_local(key, s);
         if (rid != storage::kNoRow) {
           std::memcpy(t.row(rid).data(), payload.data(), row_size);
         } else if (t.insert(key, payload, s) == storage::kNoRow) {

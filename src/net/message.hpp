@@ -1,6 +1,6 @@
 // Messages exchanged between simulated nodes.
 //
-// The cluster is simulated in-process (DESIGN.md 2.5): payloads that would
+// The cluster is simulated in-process (README "Engines"): payloads that would
 // be serialized in a real deployment (fragment queues, read results) stay
 // in shared memory, while the *cost* of communication — per-message latency
 // and message counts — is modeled by the network. Messages therefore carry

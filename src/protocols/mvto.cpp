@@ -155,7 +155,7 @@ class mvto_ctx final : public worker_ctx, public txn::frag_host {
                                       txn::txn_desc&) override {
     if (auto* w = find_write(f.table, f.key)) return w->buf;
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     auto& r = store_.at(f.table, rid);
     auto& buf = read_bufs_.emplace_back();
@@ -191,7 +191,7 @@ class mvto_ctx final : public worker_ctx, public txn::frag_host {
                                   txn::txn_desc&) override {
     if (auto* w = find_write(f.table, f.key)) return w->buf;
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     auto& r = store_.at(f.table, rid);
     std::vector<std::byte> base;
@@ -252,7 +252,7 @@ class mvto_ctx final : public worker_ctx, public txn::frag_host {
 
   bool erase_row(const txn::fragment& f, txn::txn_desc&) override {
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return false;
     auto& r = store_.at(f.table, rid);
     {

@@ -1,7 +1,7 @@
 // Multi-version timestamp ordering (MVTO).
 //
 // Stands in for the multi-version baselines of Table 2 row 3 (Cicada,
-// ERMIA, FOEDUS) — see the substitution note in DESIGN.md §2.5: those
+// ERMIA, FOEDUS), which this repository does not port: those
 // systems' contention behaviour (timestamped version chains, read-rule and
 // write-rule aborts) is what drives the paper's comparison, and MVTO
 // exercises exactly that machinery.

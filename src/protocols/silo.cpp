@@ -119,7 +119,7 @@ class silo_ctx final : public worker_ctx, public txn::frag_host {
                                       txn::txn_desc&) override {
     if (auto* w = find_write(f.table, f.key)) return w->buf;  // own write
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     auto& buf = read_bufs_.emplace_back();
     const std::uint64_t tid = stable_copy(f.table, rid, buf);
@@ -131,7 +131,7 @@ class silo_ctx final : public worker_ctx, public txn::frag_host {
                                   txn::txn_desc&) override {
     if (auto* w = find_write(f.table, f.key)) return w->buf;
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     auto& w = writes_.emplace_back();
     w.table = f.table;
@@ -156,7 +156,7 @@ class silo_ctx final : public worker_ctx, public txn::frag_host {
 
   bool erase_row(const txn::fragment& f, txn::txn_desc&) override {
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return false;
     auto& w = writes_.emplace_back();
     w.table = f.table;

@@ -129,7 +129,7 @@ class tictoc_ctx final : public worker_ctx, public txn::frag_host {
                                       txn::txn_desc&) override {
     if (auto* w = find_write(f.table, f.key)) return w->buf;
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     auto& buf = read_bufs_.emplace_back();
     const auto [wts, rts] = stable_copy(f.table, rid, buf);
@@ -141,7 +141,7 @@ class tictoc_ctx final : public worker_ctx, public txn::frag_host {
                                   txn::txn_desc&) override {
     if (auto* w = find_write(f.table, f.key)) return w->buf;
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     auto& w = writes_.emplace_back();
     w.table = f.table;
@@ -166,7 +166,7 @@ class tictoc_ctx final : public worker_ctx, public txn::frag_host {
 
   bool erase_row(const txn::fragment& f, txn::txn_desc&) override {
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return false;
     auto& w = writes_.emplace_back();
     w.table = f.table;

@@ -55,7 +55,7 @@ class twopl_ctx final : public worker_ctx, public txn::frag_host {
   std::span<const std::byte> read_row(const txn::fragment& f,
                                       txn::txn_desc&) override {
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     if (!acquire(f.table, rid, lock_mode::shared)) return {};
     return tab.row(rid);
@@ -64,7 +64,7 @@ class twopl_ctx final : public worker_ctx, public txn::frag_host {
   std::span<std::byte> update_row(const txn::fragment& f,
                                   txn::txn_desc&) override {
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return {};
     if (!acquire(f.table, rid, lock_mode::exclusive)) return {};
     auto row = tab.row(rid);
@@ -102,7 +102,7 @@ class twopl_ctx final : public worker_ctx, public txn::frag_host {
 
   bool erase_row(const txn::fragment& f, txn::txn_desc&) override {
     auto& tab = db_.at(f.table);
-    const auto rid = tab.lookup(f.key, f.part);
+    const auto rid = tab.lookup_local(f.key, f.part);
     if (rid == storage::kNoRow) return false;
     if (!acquire(f.table, rid, lock_mode::exclusive)) return false;
     if (!tab.erase(f.key, f.part)) return false;

@@ -6,7 +6,7 @@
 //  * 2PL-WaitDie — exclusive-only port: older transactions (smaller
 //    timestamp) wait for the holder, younger ones die and retry with the
 //    same timestamp. Exclusive-only keeps the holder timestamp unambiguous;
-//    the reduced read concurrency is documented in DESIGN.md.
+//    the price is reduced read concurrency.
 //
 // Lock state lives in row_meta.word1 (bit 63 = exclusive, low bits =
 // shared count) and word2 (holder timestamp, wait-die only).

@@ -52,7 +52,7 @@ common::spinlock& hash_index::lock_for(key_t key) const noexcept {
   return locks_[mix(key) & lock_mask_];
 }
 
-row_id_t hash_index::find(key_t key) const noexcept {
+row_id_t hash_index::lookup_unlocked(key_t key) const noexcept {
   for (const node* n = &bucket_for(key).head; n != nullptr;
        n = n->next.load(std::memory_order_acquire)) {
     const std::uint32_t c = n->count.load(std::memory_order_acquire);
@@ -65,13 +65,10 @@ row_id_t hash_index::find(key_t key) const noexcept {
   return kNoRow;
 }
 
-row_id_t hash_index::lookup(key_t key) const noexcept {
-  common::spin_guard guard(lock_for(key));
-  return find(key);
-}
-
-row_id_t hash_index::lookup_unlocked(key_t key) const noexcept {
-  return find(key);
+void hash_index::prefetch(key_t key) const noexcept {
+  const auto* b = reinterpret_cast<const char*>(&bucket_for(key));
+  __builtin_prefetch(b);
+  __builtin_prefetch(b + sizeof(bucket) - 1);
 }
 
 bool hash_index::insert(key_t key, row_id_t row) {

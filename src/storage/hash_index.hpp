@@ -4,9 +4,9 @@
 // atomics, which splits the synchronization story in two:
 //
 //  * Writers (insert/erase) serialize through striped spinlocks — short
-//    critical sections (CP.43); stripes keep unrelated keys apart. This is
-//    the path concurrent loaders and the cross-partition baselines
-//    (2PL/Silo/TicToc/MVTO) use.
+//    critical sections (CP.43); stripes keep unrelated keys apart, which
+//    matters for concurrent loaders and the cross-partition baselines
+//    (2PL/Silo/TicToc/MVTO).
 //  * Readers never need a lock. `lookup_unlocked` walks the node chain
 //    with acquire loads; writers publish a new entry by storing the slot
 //    first and release-incrementing the node's entry count (or
@@ -17,8 +17,8 @@
 //    a torn or recycled slot. The deterministic engines rely on this:
 //    partition-local lookups (planner resolve, executor resolve fallback)
 //    take no index lock at all, the paper's "no per-record concurrency
-//    control on the execution path" made literal. `lookup` (stripe-locked)
-//    remains for callers without partition affinity.
+//    control on the execution path" made literal, and the baselines read
+//    the same way.
 //
 // Size guarantee: `size()` reads a single atomic counter maintained by
 // insert/erase, so it is O(1), exact at quiescent points, and safe (a
@@ -46,15 +46,15 @@ class hash_index final : public index_backend {
 
   index_kind kind() const noexcept override { return index_kind::hash; }
 
-  /// Stripe-locked lookup; returns kNoRow when absent (including
-  /// tombstoned keys). For callers without partition affinity.
-  row_id_t lookup(key_t key) const noexcept override;
-
   /// Lock-free lookup (see header comment): safe concurrently with
-  /// writers, takes no lock of any kind. The partition-local hot path.
-  /// EXCLUDES is deliberately absent: holding a stripe is *allowed* (the
-  /// locked lookup is just this plus a stripe), it is simply unnecessary.
+  /// writers, takes no lock of any kind; kNoRow when absent (including
+  /// tombstoned keys). EXCLUDES is deliberately absent: holding a stripe is
+  /// allowed, it is simply unnecessary.
   row_id_t lookup_unlocked(key_t key) const noexcept override;
+
+  /// Prefetch the key's bucket (its inline head node, both cache lines
+  /// when the node straddles one); overflow nodes are left to the walk.
+  void prefetch(key_t key) const noexcept override;
 
   /// Insert; returns false when the key already exists (live). Re-inserting
   /// a tombstoned key reclaims its slot.
@@ -129,11 +129,6 @@ class hash_index final : public index_backend {
   const bucket& bucket_for(key_t key) const noexcept;
   bucket& bucket_for(key_t key) noexcept;
   common::spinlock& lock_for(key_t key) const noexcept;
-
-  /// Chain walk shared by both lookup flavors; memory order of the loads
-  /// is acquire so the lock-free caller is safe (harmless overkill under
-  /// the stripe lock).
-  row_id_t find(key_t key) const noexcept;
 
   // The stripe array is indexed dynamically (lock_for(key)), which Clang
   // TSA cannot track as a capability expression; the discipline — writers

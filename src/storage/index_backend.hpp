@@ -9,12 +9,14 @@
 //  * `ordered_index` — a deterministic skip list that additionally supports
 //    in-order range visits (`visit_range`), unlocking scan fragments.
 //
-// Both obey the same concurrency contract the deterministic engines rely
-// on: `lookup_unlocked` and the visit functions are lock-free and safe
-// against concurrent writers (entries are published with release/acquire
-// and tombstoned in place, never unlinked or freed while the index lives),
-// while insert/erase serialize writers internally. The backend is chosen
-// per table via `schema::with_index` and recorded in the catalog.
+// Both obey the same concurrency contract every engine relies on:
+// `lookup_unlocked`, `prefetch` and the visit functions are lock-free and
+// safe against concurrent writers (entries are published with
+// release/acquire and tombstoned in place, never unlinked or freed while
+// the index lives), while insert/erase serialize writers internally. There
+// is one read path: readers with and without partition affinity alike use
+// `lookup_unlocked`. The backend is chosen per table via
+// `schema::with_index` and recorded in the catalog.
 #pragma once
 
 #include <cstddef>
@@ -49,13 +51,14 @@ class index_backend {
 
   virtual index_kind kind() const noexcept = 0;
 
-  /// Point lookup; returns kNoRow when absent (including tombstoned keys).
-  /// Safe for callers without partition affinity.
-  virtual row_id_t lookup(key_t key) const noexcept = 0;
-
   /// Lock-free point lookup: safe concurrently with writers, takes no lock
-  /// of any kind. The partition-local hot path.
+  /// of any kind. Returns kNoRow when absent (including tombstoned keys).
   virtual row_id_t lookup_unlocked(key_t key) const noexcept = 0;
+
+  /// Hint: start loading the memory a lookup of `key` reads first. Changes
+  /// no state and no later result; backends whose lookup is a pointer
+  /// chase (no address is known before the walk) do nothing.
+  virtual void prefetch(key_t key) const noexcept = 0;
 
   /// Insert; returns false when the key already exists (live). Re-inserting
   /// a tombstoned key reclaims its slot.

@@ -81,12 +81,6 @@ row_id_t ordered_index::lookup_unlocked(key_t key) const noexcept {
   return n->row.load(std::memory_order_acquire);
 }
 
-row_id_t ordered_index::lookup(key_t key) const noexcept {
-  // Reads are lock-free by construction; the "locked" flavor exists only
-  // for interface parity with the hash backend.
-  return lookup_unlocked(key);
-}
-
 bool ordered_index::insert(key_t key, row_id_t row) {
   common::spin_guard guard(write_lock_);
   node* preds[kMaxHeight];

@@ -45,8 +45,12 @@ class ordered_index final : public index_backend {
 
   index_kind kind() const noexcept override { return index_kind::ordered; }
 
-  row_id_t lookup(key_t key) const noexcept override;
   row_id_t lookup_unlocked(key_t key) const noexcept override;
+
+  /// No-op: the search path is a dependent pointer chase, so no address
+  /// beyond the head is known before the walk itself.
+  void prefetch(key_t /*key*/) const noexcept override {}
+
   bool insert(key_t key, row_id_t row) override;
   bool erase(key_t key) override;
 

@@ -20,11 +20,14 @@
 // orders/order-lines).
 //
 // Locking: key operations take a `part` hint naming the home partition.
-// `lookup_local` routes to the home shard and takes no index lock at all
-// (see hash_index.hpp for why lock-free reads are safe); `lookup` keeps
-// the stripe-locked path for cross-partition baselines (2PL/Silo/TicToc)
-// and anything without partition affinity. Writers (insert/erase) always
-// serialize through the home shard's stripes.
+// `lookup_local` — the one lookup path, for every engine — routes to the
+// home shard and takes no index lock at all (see hash_index.hpp for why
+// lock-free reads are safe). Writers (insert/erase) always serialize
+// through the home shard's stripes.
+//
+// Prefetch: `prefetch_key` and `prefetch_row` are hints for callers that
+// know their next accesses ahead of time (the executor walks its planned
+// queue, see core/executor.cpp). They change no state and no result.
 #pragma once
 
 #include <atomic>
@@ -70,6 +73,16 @@ constexpr part_id_t rid_shard(row_id_t rid) noexcept {
 }
 constexpr std::uint64_t rid_slot(row_id_t rid) noexcept {
   return rid & kRidSlotMask;
+}
+
+/// Prefetch every cache line of [p, p + n), n > 0 (a hint: never faults,
+/// changes nothing).
+inline void prefetch_bytes(const std::byte* p, std::size_t n) noexcept {
+  constexpr std::size_t kCacheLine = 64;
+  for (std::size_t off = 0; off < n; off += kCacheLine) {
+    __builtin_prefetch(p + off);
+  }
+  __builtin_prefetch(p + n - 1);  // the last line when p is not aligned
 }
 
 class table {
@@ -154,29 +167,35 @@ class table {
   }
 
   // --- key operations -----------------------------------------------------
-  // The `part` hint names the key's home partition; it defaults to 0 so
-  // single-shard tables (ad-hoc tests, replicated tables) keep the old
-  // one-argument calls. CAUTION: on a multi-shard table the default is
-  // NOT "search everywhere" — a one-argument lookup/erase only sees shard
-  // 0 and silently misses keys homed elsewhere. Callers touching sharded
-  // tables must pass the fragment's `part` (or `rid_shard(rid)` on
-  // rollback paths).
+  // The `part` hint names the key's home partition. Where it defaults to
+  // 0 (writers, for single-shard tables) the default is NOT "search
+  // everywhere": on a multi-shard table a one-argument erase only sees
+  // shard 0. Callers touching sharded tables must pass the fragment's
+  // `part` (or `rid_shard(rid)` on rollback paths).
 
   /// Backend implementing the primary-key index of every shard (recorded
   /// in the schema; see storage/index_backend.hpp).
   index_kind index() const noexcept { return schema_.index(); }
 
-  /// Stripe-locked lookup in `part`'s home shard. The baseline /
-  /// no-affinity path.
-  row_id_t lookup(key_t key, part_id_t part = 0) const noexcept {
-    return shards_[home_shard(part)]->index->lookup(key);
-  }
-
-  /// Partition-local lookup: routes straight to the home shard and takes
-  /// no index lock at all (safe against concurrent writers, see
-  /// index_backend.hpp). The planner-resolve / executor hot path.
+  /// Point lookup in `part`'s home shard; kNoRow when absent. Takes no
+  /// index lock at all (safe against concurrent writers, see
+  /// index_backend.hpp).
   row_id_t lookup_local(key_t key, part_id_t part) const noexcept {
     return shards_[home_shard(part)]->index->lookup_unlocked(key);
+  }
+
+  /// Hint: start loading the index memory lookup_local(key, part) reads
+  /// first (a no-op on ordered tables, see index_backend::prefetch).
+  void prefetch_key(key_t key, part_id_t part) const noexcept {
+    shards_[home_shard(part)]->index->prefetch(key);
+  }
+
+  /// Hint: start loading every cache line of row `rid` (an 80-byte row
+  /// straddles two lines at every other slot). `rid` must come from this
+  /// table's index, but may be stale: prefetching never faults.
+  void prefetch_row(row_id_t rid) const noexcept {
+    const shard& sh = *shards_[rid_shard(rid)];
+    prefetch_bytes(sh.slots.get() + rid_slot(rid) * row_size_, row_size_);
   }
 
   /// Allocate a fresh slot in `part`'s home shard (concurrent-safe)

@@ -48,8 +48,8 @@ class batch {
 
 /// Structural invariants a planned transaction must satisfy:
 ///  * every input slot is produced by a fragment with a smaller idx
-///    (data dependencies point backwards — the planner's deadlock-freedom
-///    argument in DESIGN.md 2.2 depends on it),
+///    (data dependencies point backwards: a consumer never waits on a
+///    producer that sorts after it, so the executors cannot deadlock),
 ///  * output slots are within the procedure's slot count and unique,
 ///  * abortable fragments are read-only (commit-dependency wait safety),
 ///  * fragment idx values are 0..n-1 in order.

@@ -29,7 +29,7 @@ namespace quecc::txn {
 enum class op_kind : std::uint8_t {
   read,    ///< read-only access
   update,  ///< read-modify-write in place
-  insert,  ///< create the record (key known at plan time, see DESIGN.md)
+  insert,  ///< create the record (its key is known at plan time)
   erase,   ///< unlink the record
   scan,    ///< ordered range read over [key, key_hi) — see below
 };

@@ -1073,7 +1073,7 @@ bool tpcc::check_consistency(const storage::database& db,
     if (district < max_o.size()) max_o[district] = std::max(max_o[district], o);
   });
   for (std::size_t district = 0; district < dstate_.size(); ++district) {
-    const auto rid = di.lookup(
+    const auto rid = di.lookup_local(
         district, part_of_warehouse(district / kDistrictsPerWarehouse));
     if (rid == storage::kNoRow) continue;
     const std::uint64_t next =

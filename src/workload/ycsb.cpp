@@ -164,6 +164,9 @@ std::unique_ptr<txn::txn_desc> ycsb::make_txn(common::rng& r) {
   const std::uint32_t abort_pos = cfg_.ops_per_txn / 2;
 
   // --- build fragments -----------------------------------------------------
+  // One allocation instead of five doublings: generation is the client's
+  // share of every closed-loop run.
+  t->frags.reserve(cfg_.ops_per_txn + 1);
   std::uint16_t idx = 0;
   if (doomed || cfg_.abort_ratio > 0) {
     // Abortable fragments precede updates (conservative-liveness rule), so

@@ -360,7 +360,7 @@ TEST(Executor, EraseThenReadMisses) {
   core::quecc_engine eng(*db, engine_cfg(1, 1));
   common::run_metrics m;
   eng.run_batch(b, m);
-  EXPECT_EQ(db->at(0).lookup(7, 3), storage::kNoRow);
+  EXPECT_EQ(db->at(0).lookup_local(7, 3), storage::kNoRow);
   EXPECT_EQ(db->at(0).live_rows(), 63u);
 }
 

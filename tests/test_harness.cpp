@@ -499,8 +499,8 @@ TEST(SpecRecovery, CascadeChainsAcrossRecords) {
   // Final state must be as if T0 never ran: key10 = 7, key20 = 3, and T2
   // must have read T1's committed value.
   const auto& tab = db->at(0);
-  EXPECT_EQ(storage::read_u64(tab.row(tab.lookup(10, 2)), 0), 7u);
-  EXPECT_EQ(storage::read_u64(tab.row(tab.lookup(20, 0)), 0), 3u);
+  EXPECT_EQ(storage::read_u64(tab.row(tab.lookup_local(10, 2)), 0), 7u);
+  EXPECT_EQ(storage::read_u64(tab.row(tab.lookup_local(20, 0)), 0), 3u);
   EXPECT_EQ(rt2.slot_value(0), 3u);
   EXPECT_EQ(m.aborted, 1u);
   EXPECT_EQ(m.committed, 2u);
@@ -566,7 +566,7 @@ TEST(SpecRecovery, BlindWriteAfterAbortedWriter) {
   testutil::replay_in_seq_order(*db_serial, b);
   EXPECT_EQ(db->state_hash(), db_serial->state_hash());
   const auto& tab = db->at(0);
-  EXPECT_EQ(storage::read_u64(tab.row(tab.lookup(5, 1)), 0), 999u);
+  EXPECT_EQ(storage::read_u64(tab.row(tab.lookup_local(5, 1)), 0), 999u);
 }
 
 }  // namespace

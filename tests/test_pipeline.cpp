@@ -360,6 +360,249 @@ TEST(PipelineDeterminism, DistQueccDepth2MatchesLockstep) {
   EXPECT_EQ(hash_at(1), hash_at(2));
 }
 
+// --- index churn within the executors' prefetch distance -------------------
+//
+// Executors prefetch index buckets and rows a few queue entries ahead and
+// take a hint rid for the row prefetch (core/executor.cpp). A hint taken
+// before an earlier entry of the same queue erases or (re)inserts the key
+// is stale by the time its own entry runs, so these batches put erase,
+// insert, read and update of one key a few transactions apart — inside the
+// prefetch window of the executor that owns the key's queue — and demand
+// serial-oracle results at every depth, on both engines and both backends.
+
+namespace churn {
+
+constexpr part_id_t kParts = 4;
+constexpr std::uint64_t kSinks = 64;      ///< keys [0, kSinks): never churned
+constexpr std::uint64_t kLoaded = 2048;   ///< keys [0, kLoaded) start live
+constexpr std::uint64_t kFresh = 100000;  ///< inserted keys start here
+constexpr std::uint64_t kMissing = ~0ull;
+constexpr std::size_t kEpisodes = 96;     ///< churned keys per batch
+
+enum logic : std::uint16_t {
+  op_read,
+  op_check,
+  op_update,
+  op_insert,
+  op_erase
+};
+
+part_id_t home(key_t k) { return static_cast<part_id_t>(k % kParts); }
+
+txn::frag_status run(const txn::fragment& f, txn::txn_desc& t,
+                     txn::frag_host& h) {
+  switch (static_cast<logic>(f.logic)) {
+    case op_read:
+    case op_check: {
+      const auto row = h.read_row(f, t);
+      if (row.empty() && f.logic == op_check) return txn::frag_status::abort;
+      t.produce(f.output_slot,
+                row.empty() ? kMissing : storage::read_u64(row, 0));
+      return txn::frag_status::ok;
+    }
+    case op_update: {
+      auto row = h.update_row(f, t);
+      if (!row.empty()) {
+        const std::uint64_t in = f.input_mask != 0 ? t.slot_value(0) : 0;
+        storage::write_u64(row, 0,
+                           storage::read_u64(row, 0) * 31 + f.aux + in);
+      }
+      return txn::frag_status::ok;
+    }
+    case op_insert: {
+      auto row = h.insert_row(f, t);
+      if (!row.empty()) storage::write_u64(row, 0, f.aux);
+      return txn::frag_status::ok;
+    }
+    case op_erase:
+      h.erase_row(f, t);
+      return txn::frag_status::ok;
+  }
+  return txn::frag_status::ok;
+}
+
+const txn::procedure& proc() {
+  static const txn::procedure p("churn", &run, 1);
+  return p;
+}
+
+/// 80-byte rows (ten u64 columns): a row straddles two cache lines at
+/// every other slot, so the row prefetch covers both.
+void load(storage::database& db, storage::index_kind idx) {
+  std::vector<storage::column> cols;
+  for (int i = 0; i < 10; ++i) {
+    cols.push_back({"F" + std::to_string(i), storage::col_type::u64, 8});
+  }
+  auto& tab = db.create_table(
+      "churn", storage::schema(std::move(cols)).with_index(idx), 4 * kLoaded,
+      kParts);
+  std::vector<std::byte> row(tab.layout().row_size());
+  for (key_t k = 0; k < kLoaded; ++k) {
+    storage::write_u64(row, 0, k * 7 + 1);
+    tab.insert(k, row, home(k));
+  }
+}
+
+txn::fragment frag(key_t k, txn::op_kind kind, logic l,
+                   std::uint64_t aux = 0) {
+  txn::fragment f;
+  f.table = 0;
+  f.key = k;
+  f.part = home(k);
+  f.kind = kind;
+  f.logic = l;
+  f.aux = aux;
+  return f;
+}
+
+/// One-fragment txn, or a read of `k` feeding an update of `sink` when
+/// `sink` is given (so a stale read changes the state hash, not just a
+/// result slot).
+std::unique_ptr<txn::txn_desc> make_txn(txn::fragment first,
+                                        key_t sink = kInvalidKey) {
+  auto t = std::make_unique<txn::txn_desc>();
+  t->proc = &proc();
+  if (first.logic == op_read || first.logic == op_check) {
+    first.output_slot = 0;
+    first.abortable = first.logic == op_check;
+  }
+  t->frags.push_back(first);
+  if (sink != kInvalidKey) {
+    auto f = frag(sink, txn::op_kind::update, op_update, 3);
+    f.idx = 1;
+    f.input_mask = 1;
+    t->frags.push_back(f);
+  }
+  return t;
+}
+
+/// Episodes of erase→read, insert→read/update and erase→reinsert→read on
+/// distinct keys, each step 1–4 transactions after the previous one.
+txn::batch make_batch(std::uint32_t id) {
+  common::rng r(1000 + id);
+  txn::batch b(id);
+  auto fillers = [&] {
+    for (std::uint64_t n = r.next_below(4); n > 0; --n) {
+      const key_t s = r.next_below(kSinks);
+      b.add(make_txn(frag(s, txn::op_kind::update, op_update, n)));
+    }
+  };
+  auto sink = [&] { return static_cast<key_t>(r.next_below(kSinks)); };
+  for (std::size_t e = 0; e < kEpisodes; ++e) {
+    const key_t k = kSinks + id * kEpisodes + e;
+    const key_t fresh = kFresh + id * kEpisodes + e;
+    switch (e % 3) {
+      case 0:  // erase, then read / abortable read / update the gone key
+        b.add(make_txn(frag(k, txn::op_kind::erase, op_erase)));
+        fillers();
+        b.add(make_txn(frag(k, txn::op_kind::read, op_read), sink()));
+        fillers();
+        b.add(make_txn(frag(k, txn::op_kind::read, op_check), sink()));
+        fillers();
+        b.add(make_txn(frag(k, txn::op_kind::update, op_update, e)));
+        break;
+      case 1:  // insert a fresh key, then read and update it
+        b.add(make_txn(frag(fresh, txn::op_kind::insert, op_insert, e)));
+        fillers();
+        b.add(make_txn(frag(fresh, txn::op_kind::read, op_check), sink()));
+        fillers();
+        b.add(make_txn(frag(fresh, txn::op_kind::update, op_update, e)));
+        break;
+      default:  // erase and re-insert: the key's rid changes mid-batch
+        b.add(make_txn(frag(k, txn::op_kind::read, op_read), sink()));
+        b.add(make_txn(frag(k, txn::op_kind::erase, op_erase)));
+        fillers();
+        b.add(make_txn(frag(k, txn::op_kind::insert, op_insert, e + 500)));
+        fillers();
+        b.add(make_txn(frag(k, txn::op_kind::read, op_check), sink()));
+        b.add(make_txn(frag(k, txn::op_kind::update, op_update, e)));
+        break;
+    }
+    fillers();
+  }
+  b.validate();
+  return b;
+}
+
+}  // namespace churn
+
+struct churn_params {
+  const char* engine;
+  exec_model exec;
+  std::uint32_t depth;
+  storage::index_kind index;
+};
+
+std::string churn_name(const testing::TestParamInfo<churn_params>& info) {
+  std::string n = info.param.engine;
+  for (auto& c : n) {
+    if (c == '-') c = '_';
+  }
+  return n + (info.param.exec == exec_model::speculative ? "_spec" : "_cons") +
+         "_d" + std::to_string(info.param.depth) + "_" +
+         storage::index_kind_name(info.param.index);
+}
+
+class PrefetchChurn : public testing::TestWithParam<churn_params> {};
+
+std::vector<churn_params> churn_grid() {
+  std::vector<churn_params> v;
+  for (const char* e : {"quecc", "dist-quecc"}) {
+    for (auto x : {exec_model::speculative, exec_model::conservative}) {
+      for (std::uint32_t d : {1u, 2u, 3u}) {
+        for (auto i :
+             {storage::index_kind::hash, storage::index_kind::ordered}) {
+          v.push_back({e, x, d, i});
+        }
+      }
+    }
+  }
+  return v;
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, PrefetchChurn, testing::ValuesIn(churn_grid()),
+                         churn_name);
+
+TEST_P(PrefetchChurn, HintsNeverChangeResults) {
+  const auto [engine, exec, depth, index] = GetParam();
+  std::deque<txn::batch> batches;
+  storage::database db;
+  churn::load(db, index);
+  std::vector<std::vector<std::uint64_t>> fps;
+  {
+    config cfg = base_cfg(depth, exec);
+    cfg.partitions = churn::kParts;
+    if (std::string(engine) == "dist-quecc") {
+      cfg.planner_threads = 1;
+      cfg.nodes = 2;
+      cfg.net_latency_micros = 10;
+    }
+    auto eng = proto::make_engine(engine, db, cfg);
+    common::run_metrics m;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      batches.push_back(churn::make_batch(i));
+      eng->submit_batch(batches.back(), m);
+    }
+    while (eng->drain_batch()) {
+    }
+    for (const auto& b : batches) {
+      auto fp = testutil::result_fingerprints(b);
+      fps.insert(fps.end(), fp.begin(), fp.end());
+    }
+  }
+  storage::database ref;
+  churn::load(ref, index);
+  std::vector<std::vector<std::uint64_t>> ref_fps;
+  for (auto& b : batches) {
+    testutil::replay_in_seq_order(ref, b);
+    auto fp = testutil::result_fingerprints(b);
+    ref_fps.insert(ref_fps.end(), fp.begin(), fp.end());
+  }
+  EXPECT_EQ(db.state_hash(), ref.state_hash());
+  EXPECT_EQ(db.at(0).live_rows(), ref.at(0).live_rows());
+  EXPECT_EQ(fps, ref_fps);
+}
+
 // --- submit/drain API mechanics -------------------------------------------
 
 TEST(PipelineApi, SubmitDrainPairEqualsRunBatch) {

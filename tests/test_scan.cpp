@@ -54,12 +54,11 @@ TEST(OrderedIndex, InsertLookupErase) {
   storage::ordered_index idx(64);
   EXPECT_TRUE(idx.insert(5, 50));
   EXPECT_FALSE(idx.insert(5, 51));  // duplicate
-  EXPECT_EQ(idx.lookup(5), 50u);
   EXPECT_EQ(idx.lookup_unlocked(5), 50u);
-  EXPECT_EQ(idx.lookup(6), storage::kNoRow);
+  EXPECT_EQ(idx.lookup_unlocked(6), storage::kNoRow);
   EXPECT_TRUE(idx.erase(5));
   EXPECT_FALSE(idx.erase(5));
-  EXPECT_EQ(idx.lookup(5), storage::kNoRow);
+  EXPECT_EQ(idx.lookup_unlocked(5), storage::kNoRow);
   EXPECT_EQ(idx.size(), 0u);
   EXPECT_EQ(idx.kind(), storage::index_kind::ordered);
 }
@@ -99,7 +98,7 @@ TEST(OrderedIndex, TombstoneReinsertReclaims) {
   ASSERT_TRUE(idx.erase(7));
   EXPECT_TRUE(range_keys(idx, 0, 100).empty());  // tombstone invisible
   ASSERT_TRUE(idx.insert(7, 71));  // reclaims the tombstoned node
-  EXPECT_EQ(idx.lookup(7), 71u);
+  EXPECT_EQ(idx.lookup_unlocked(7), 71u);
   EXPECT_EQ(range_keys(idx, 0, 100), std::vector<key_t>{7});
   EXPECT_EQ(idx.size(), 1u);
 }

@@ -45,18 +45,18 @@ TEST(HashIndex, InsertLookupErase) {
   hash_index idx(64);
   EXPECT_TRUE(idx.insert(5, 50));
   EXPECT_FALSE(idx.insert(5, 51));  // duplicate
-  EXPECT_EQ(idx.lookup(5), 50u);
-  EXPECT_EQ(idx.lookup(6), kNoRow);
+  EXPECT_EQ(idx.lookup_unlocked(5), 50u);
+  EXPECT_EQ(idx.lookup_unlocked(6), kNoRow);
   EXPECT_TRUE(idx.erase(5));
   EXPECT_FALSE(idx.erase(5));
-  EXPECT_EQ(idx.lookup(5), kNoRow);
+  EXPECT_EQ(idx.lookup_unlocked(5), kNoRow);
 }
 
 TEST(HashIndex, ManyKeys) {
   hash_index idx(1000);
   for (key_t k = 0; k < 5000; ++k) ASSERT_TRUE(idx.insert(k * 7, k));
   EXPECT_EQ(idx.size(), 5000u);
-  for (key_t k = 0; k < 5000; ++k) ASSERT_EQ(idx.lookup(k * 7), k);
+  for (key_t k = 0; k < 5000; ++k) ASSERT_EQ(idx.lookup_unlocked(k * 7), k);
 }
 
 TEST(HashIndex, ConcurrentInsertsDisjointKeys) {
@@ -78,7 +78,7 @@ TEST(Table, InsertAndRead) {
   write_u64(p, 0, 99);
   const auto rid = t.insert(7, payload);
   ASSERT_NE(rid, kNoRow);
-  EXPECT_EQ(t.lookup(7), rid);
+  EXPECT_EQ(t.lookup_local(7, 0), rid);
   EXPECT_EQ(read_u64(t.row(rid), 0), 99u);
   EXPECT_EQ(t.live_rows(), 1u);
 }
@@ -158,7 +158,7 @@ TEST(Table, EraseRemovesFromHashAndIndex) {
   a.insert(10, p);
   const auto h_with = a.state_hash();
   a.erase(10);
-  EXPECT_EQ(a.lookup(10), kNoRow);
+  EXPECT_EQ(a.lookup_local(10, 0), kNoRow);
   EXPECT_NE(a.state_hash(), h_with);
   EXPECT_EQ(a.live_rows(), 0u);
 }
@@ -190,15 +190,46 @@ TEST(Table, ShardedInsertRoutesToHomeArena) {
   EXPECT_EQ(t.live_rows(), 32u);
 }
 
-TEST(Table, PartitionLocalLookupMatchesStripedLookup) {
-  table t(0, "t", two_col_schema(), 64, /*shards=*/4);
-  std::vector<std::byte> p(20);
-  for (key_t k = 0; k < 32; ++k) {
-    t.insert(k, p, static_cast<part_id_t>(k % 4));
-  }
-  for (key_t k = 0; k < 40; ++k) {
-    const auto part = static_cast<part_id_t>(k % 4);
-    EXPECT_EQ(t.lookup_local(k, part), t.lookup(k, part));
+TEST(Table, PrefetchChangesNoLookupOrSize) {
+  // Prefetching is a hint (the executor issues it a few queue entries
+  // ahead): on present, absent and tombstoned keys, on both backends, it
+  // must leave every lookup result and every size untouched.
+  for (const auto kind : {index_kind::hash, index_kind::ordered}) {
+    SCOPED_TRACE(index_kind_name(kind));
+    table t(0, "t", two_col_schema().with_index(kind), 64, /*shards=*/4);
+    std::vector<std::byte> p(20);
+    for (key_t k = 0; k < 32; ++k) {
+      t.insert(k, p, static_cast<part_id_t>(k % 4));
+    }
+    for (key_t k = 0; k < 32; k += 3) {  // tombstones
+      ASSERT_TRUE(t.erase(k, static_cast<part_id_t>(k % 4)));
+    }
+    auto snapshot = [&t] {
+      std::vector<row_id_t> rids;
+      for (key_t k = 0; k < 40; ++k) {  // 32..39 were never present
+        rids.push_back(t.lookup_local(k, static_cast<part_id_t>(k % 4)));
+      }
+      return rids;
+    };
+    auto sizes = [&t] {
+      std::vector<std::size_t> n;
+      for (part_id_t s = 0; s < 4; ++s) n.push_back(t.live_rows_in(s));
+      return n;
+    };
+    const auto before = snapshot();
+    const auto live = sizes();
+    for (key_t k = 0; k < 40; ++k) {
+      const auto part = static_cast<part_id_t>(k % 4);
+      t.prefetch_key(k, part);
+      const row_id_t rid = t.lookup_local(k, part);
+      if (rid != kNoRow) t.prefetch_row(rid);
+    }
+    EXPECT_EQ(snapshot(), before);
+    EXPECT_EQ(sizes(), live);
+    EXPECT_EQ(t.live_rows(), 21u);
+    EXPECT_EQ(before[3], kNoRow);   // tombstoned
+    EXPECT_NE(before[4], kNoRow);   // present
+    EXPECT_EQ(before[35], kNoRow);  // never inserted
   }
 }
 
@@ -231,7 +262,6 @@ TEST(Table, EraseThenReinsertReclaimsTombstone) {
   write_u64(std::span<std::byte>(p), 0, 1);
   ASSERT_NE(t.insert(6, p, 0), kNoRow);
   ASSERT_TRUE(t.erase(6, 0));
-  EXPECT_EQ(t.lookup(6, 0), kNoRow);
   EXPECT_EQ(t.lookup_local(6, 0), kNoRow);
   write_u64(std::span<std::byte>(p), 0, 2);
   const auto rid = t.insert(6, p, 0);
@@ -375,7 +405,7 @@ TEST(Database, CloneMatchesStateHash) {
   auto copy = db.clone();
   EXPECT_EQ(copy->state_hash(), db.state_hash());
   // Mutating the clone must not affect the original.
-  write_u64(copy->at(0).row(copy->at(0).lookup(3)), 0, 999);
+  write_u64(copy->at(0).row(copy->at(0).lookup_local(3, 0)), 0, 999);
   EXPECT_NE(copy->state_hash(), db.state_hash());
 }
 
