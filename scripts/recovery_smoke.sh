@@ -10,10 +10,12 @@
 # pure replay of the full stream landing on the same hash — that asserts
 # the resumed run really kept appending.
 #
-# Two legs: YCSB on the hash index (the original smoke), and the full
+# Three legs: YCSB on the hash index (the original smoke); the full
 # scan-based 5-txn TPC-C mix on the ordered index (--tpcc-full), which
 # additionally exercises v3 checkpoints of ordered arenas and scan-fragment
-# (key_hi) plan-log round-trips.
+# (key_hi) plan-log round-trips; and YCSB with a checkpoint after every
+# batch, so the kill usually lands while a background persist is hashing
+# or writing a checkpoint that the manifest does not name yet.
 #
 # Usage: scripts/recovery_smoke.sh [build-dir]   (default: build)
 set -eu
@@ -29,6 +31,7 @@ trap 'rm -rf "$TMP"' EXIT
 run_leg() {
     NAME=$1
     ARGS=$2
+    CKPT=${3:-8}
     LOG="$TMP/log-$NAME"
 
     # Reference: the uninterrupted (in-memory) run of the same stream.
@@ -38,7 +41,7 @@ run_leg() {
     # Durable run, killed hard mid-flight (whatever batches managed to
     # fsync a commit record survive; an in-flight write may leave a torn
     # tail).
-    $CTL $ARGS --durable --log-dir "$LOG" --checkpoint-every 8 \
+    $CTL $ARGS --durable --log-dir "$LOG" --checkpoint-every "$CKPT" \
         > "$TMP/run.out" 2>&1 &
     PID=$!
     sleep 0.4
@@ -80,3 +83,6 @@ run_leg ycsb "--workload ycsb --batches 48 --batch-size 1024 --seed 7 \
 
 run_leg tpcc-full "--workload tpcc --tpcc-full --index ordered --batches 24 \
 --batch-size 1024 --seed 7 --pipeline-depth 2 --partitions 4"
+
+run_leg ycsb-ckpt-every-batch "--workload ycsb --batches 48 --batch-size 1024 \
+--seed 7 --pipeline-depth 2 --partitions 4" 1

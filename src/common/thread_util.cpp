@@ -60,6 +60,19 @@ bool pin_self_to(unsigned cpu) noexcept {
 #endif
 }
 
+bool unpin_self() noexcept {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (unsigned cpu : system_topology().flatten()) {
+    if (cpu < CPU_SETSIZE) CPU_SET(cpu, &set);
+  }
+  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+#else
+  return false;
+#endif
+}
+
 void name_self(const std::string& name) noexcept {
 #if defined(__linux__)
   // Linux limits thread names to 15 chars + NUL.

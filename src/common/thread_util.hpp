@@ -25,6 +25,11 @@ unsigned hardware_threads() noexcept;
 /// Returns false when the platform refuses (non-fatal; used for benches).
 bool pin_self_to(unsigned cpu) noexcept;
 
+/// Best-effort: widen the calling thread's affinity to every cpu of the
+/// machine topology. Undoes a pin inherited from the creating thread, for
+/// background helpers that must not share a worker's cpu.
+bool unpin_self() noexcept;
+
 /// Best-effort thread name (shows up in debuggers / perf).
 void name_self(const std::string& name) noexcept;
 

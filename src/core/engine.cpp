@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <unordered_set>
 
 #include "common/thread_util.hpp"
@@ -105,12 +106,20 @@ quecc_engine::quecc_engine(storage::database& db, const common::config& cfg)
   if (use_async_epilogue_) {
     threads_.emplace_back([this] { epilogue_main(); });
   }
+  if (wal_ && cfg_.checkpoint_interval_batches > 0) {
+    persister_ = std::thread([this] { persister_main(); });
+  }
 }
 
 quecc_engine::~quecc_engine() {
   // Retire anything the caller left in flight (the submit contract says
   // batches and metrics outlive their drain, so the pointers are valid).
-  while (drain_batch()) {
+  std::exception_ptr err;
+  try {
+    while (drain_batch()) {
+    }
+  } catch (...) {
+    err = std::current_exception();
   }
   {
     common::mutex_lock lk(mu_);
@@ -118,6 +127,26 @@ quecc_engine::~quecc_engine() {
   }
   cv_.notify_all();
   for (auto& t : threads_) t.join();
+  // Let the last checkpoint land (and truncate) before the log closes.
+  if (persister_.joinable()) {
+    {
+      common::mutex_lock lk(ckpt_mu_);
+      ckpt_stop_ = true;
+    }
+    ckpt_cv_.notify_all();
+    persister_.join();
+    common::mutex_lock lk(ckpt_mu_);
+    if (!err) err = ckpt_error_;
+  }
+  if (err) {
+    try {
+      std::rethrow_exception(err);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "quecc: engine stopped on error: %s\n", e.what());
+    } catch (...) {
+      std::fprintf(stderr, "quecc: engine stopped on an unknown error\n");
+    }
+  }
 }
 
 void quecc_engine::planner_main(worker_id_t p) {
@@ -211,6 +240,7 @@ void quecc_engine::submit_batch(txn::batch& b, common::run_metrics& m) {
   while (true) {
     {
       common::mutex_lock lk(mu_);
+      if (failed_) std::rethrow_exception(failed_);
       if (submitted_ - drained_ < cfg_.pipeline_depth) break;
     }
     drain_batch();
@@ -248,8 +278,21 @@ void quecc_engine::epilogue_main() {
       while (!(exec_done_ > n || stop_)) cv_.wait(lk);
       if (stop_ && exec_done_ <= n) return;
     }
-    run_epilogue(n);
+    try {
+      run_epilogue(n);
+    } catch (...) {
+      fail_stop(std::current_exception());  // the drain caller rethrows it
+      return;
+    }
   }
+}
+
+void quecc_engine::fail_stop(std::exception_ptr e) {
+  {
+    common::mutex_lock lk(mu_);
+    if (!failed_) failed_ = std::move(e);
+  }
+  cv_.notify_all();
 }
 
 void quecc_engine::run_epilogue(std::uint64_t n) {
@@ -278,6 +321,15 @@ void quecc_engine::run_epilogue(std::uint64_t n) {
     common::mutex_lock lk(mu_);
     published_ = n + 1;  // releases executors into batch n+1
     cv_.notify_all();
+  }
+  // A captured checkpoint is persisted off the critical path, overlapped
+  // with the batches that follow.
+  if (captured_) {
+    {
+      common::mutex_lock lk(ckpt_mu_);
+      ckpt_pending_ = std::move(captured_);
+    }
+    ckpt_cv_.notify_all();
   }
 
   // Durable tail, overlapped with batch n+1's execution (async mode; the
@@ -358,17 +410,26 @@ bool quecc_engine::drain_batch() {
   batch_slot* sp;
   {
     common::mutex_lock lk(mu_);
+    if (failed_) std::rethrow_exception(failed_);
     if (drained_ == submitted_) return false;  // nothing in flight
     n = drained_;
     if (use_async_epilogue_) {
       // Third stage owns the epilogue: just await its counter.
-      while (epilogue_done_ <= n) cv_.wait(lk);
+      while (epilogue_done_ <= n && !failed_) cv_.wait(lk);
+      if (failed_) std::rethrow_exception(failed_);
     } else {
       while (exec_done_ <= n) cv_.wait(lk);
     }
     sp = pipe_.slots[n % cfg_.pipeline_depth].get();
   }
-  if (!use_async_epilogue_) run_epilogue(n);
+  if (!use_async_epilogue_) {
+    try {
+      run_epilogue(n);
+    } catch (...) {
+      fail_stop(std::current_exception());
+      throw;
+    }
+  }
 
   {
     common::mutex_lock lk(mu_);
@@ -474,25 +535,33 @@ std::uint64_t quecc_engine::log_commit_record(const txn::batch& b) {
 
   // Batch-boundary checkpoint: we sit at the inter-batch quiescent point
   // (executors for the next batch are parked on published_; planners touch
-  // no database state at depth >= 2), so the snapshot is
-  // transaction-consistent by construction. The new checkpoint covers
-  // every logged batch; rotate and drop the old segments (checkpoint file
-  // + manifest land before any deletion).
+  // no database state at depth >= 2), so the image is
+  // transaction-consistent by construction. Only the copy happens here:
+  // run_epilogue hands the image to the persister after publishing, and
+  // the persister deletes the old segments once the manifest naming the
+  // new checkpoint is durable (log/checkpoint.hpp, crash-safety order).
   if (cfg_.checkpoint_interval_batches > 0 &&
       ++batches_since_ckpt_ >= cfg_.checkpoint_interval_batches) {
     batches_since_ckpt_ = 0;
-    ckpt_->take(db_, b.id(), durable_stream_pos_, wal_->segment_index() + 1);
-    wal_->rotate_and_truncate();
+    // One image in flight at a time; a failed persist stops the engine
+    // here rather than letting the log outgrow a checkpoint that never
+    // lands.
+    await_persist();
+    const std::uint32_t base = wal_->rotate();
+    captured_ = std::make_unique<log::checkpoint_image>(
+        ckpt_->capture(db_, b.id(), durable_stream_pos_, base));
     // Batches still in the pipeline appended their batch records at
-    // submit time — into the segments just truncated. Re-append them so
-    // recovery can replay past this checkpoint (their commit records land
-    // later, in retirement order). Batch contents are frozen (planners
-    // never write them at depth >= 2). In async mode the submit thread may
-    // append the same batch record concurrently — log_writer::append
-    // serializes the frames internally and replay is last-record-wins per
-    // batch id, so the duplicate is benign in every interleaving (an
-    // append that landed in a truncated segment is re-covered here; one
-    // landing after the rotation sits in the fresh segment on its own).
+    // submit time — into the segments the persister will delete. Re-append
+    // them so recovery can replay past this checkpoint (their commit
+    // records land later, in retirement order). Batch contents are frozen
+    // (planners never write them at depth >= 2). In async mode the submit
+    // thread may append the same batch record concurrently —
+    // log_writer::append serializes the frames internally and replay is
+    // last-record-wins per batch id, so the duplicate is benign in every
+    // interleaving (an append that landed before the rotation is
+    // re-covered here; one landing after it sits in the fresh segment on
+    // its own). Until the persist lands, recovery uses the previous
+    // manifest, which still sees the old segments too.
     std::uint64_t first_inflight, end_inflight;
     {
       common::mutex_lock lk(mu_);
@@ -508,12 +577,57 @@ std::uint64_t quecc_engine::log_commit_record(const txn::batch& b) {
   return lsn;
 }
 
+void quecc_engine::await_persist() {
+  common::mutex_lock lk(ckpt_mu_);
+  while (ckpt_pending_) ckpt_cv_.wait(lk);
+  if (ckpt_error_) std::rethrow_exception(ckpt_error_);
+}
+
+void quecc_engine::persister_main() {
+  common::name_self("quecc-ckpt");
+  // The constructing thread may be pinned; a persist is hundreds of
+  // milliseconds of hashing, CRC and I/O that must not queue behind a
+  // pinned worker on one cpu.
+  if (cfg_.pin_threads) common::unpin_self();
+  for (;;) {
+    log::checkpoint_image* img;
+    {
+      common::mutex_lock lk(ckpt_mu_);
+      while (!ckpt_pending_ && !ckpt_stop_) ckpt_cv_.wait(lk);
+      if (!ckpt_pending_) return;
+      img = ckpt_pending_.get();  // stays owned by ckpt_pending_; only
+                                  // this thread touches it until reset
+    }
+    std::exception_ptr err;
+    try {
+      const log::checkpoint_meta meta = ckpt_->persist(*img);
+      // The manifest naming the new checkpoint is durable: only now may
+      // the segments it covers go.
+      wal_->truncate_below(meta.segment_base);
+    } catch (...) {
+      err = std::current_exception();
+    }
+    std::unique_ptr<log::checkpoint_image> done;  // freed outside the lock
+    {
+      common::mutex_lock lk(ckpt_mu_);
+      if (err && !ckpt_error_) ckpt_error_ = err;
+      done = std::move(ckpt_pending_);
+    }
+    ckpt_cv_.notify_all();
+  }
+}
+
 void quecc_engine::sync_durable() {
   if (!wal_) return;
   std::uint64_t lsn;
   {
     common::mutex_lock lk(mu_);
+    if (failed_) std::rethrow_exception(failed_);
     lsn = last_commit_lsn_;
+  }
+  {
+    common::mutex_lock lk(ckpt_mu_);
+    if (ckpt_error_) std::rethrow_exception(ckpt_error_);
   }
   wal_->wait_durable(lsn);
 }

@@ -20,13 +20,20 @@
 // executes. The epilogue splits at the publication point:
 //
 //   * the state-mutating half (speculative recovery, status marking,
-//     read-committed publish, checkpoints, commit-record append) runs at
-//     the per-slot quiescent point — executors of batch i+1 stay parked on
-//     published_ until it finishes, which is what keeps results
+//     read-committed publish, checkpoint capture, commit-record append)
+//     runs at the per-slot quiescent point — executors of batch i+1 stay
+//     parked on published_ until it finishes, which is what keeps results
 //     bit-identical at every depth;
 //   * the durable tail (group-commit fsync wait) and the batch accounting
 //     run after published_ advances, overlapped with batch i+1's
 //     execution — the fsync leaves the drain-to-drain critical path.
+//     A captured checkpoint image goes to the persister thread, which
+//     hashes, writes and publishes it, then truncates the log, while later
+//     batches execute (log/checkpoint.hpp).
+//
+// An exception out of a batch's epilogue (log or checkpoint I/O failure)
+// stops the pipeline at that batch: drain_batch and submit_batch rethrow
+// it from then on, and the destructor reports it on stderr.
 //
 // Execution and the epilogue stay strictly sequential by batch id;
 // drain_batch merely awaits epilogue_done_. pipeline_depth == 1 (or
@@ -40,6 +47,7 @@
 
 #include <atomic>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <span>
 #include <thread>
@@ -59,6 +67,7 @@
 namespace quecc::log {
 class log_writer;
 class checkpointer;
+struct checkpoint_image;
 }  // namespace quecc::log
 
 namespace quecc::core {
@@ -176,7 +185,8 @@ class quecc_engine final : public proto::engine {
 
   /// Durable barrier: block until the commit record of the most recent
   /// *drained* batch is fsynced (no-op when cfg.durable is off). Call from
-  /// the submit/drain thread. See iface.hpp.
+  /// the submit/drain thread. See iface.hpp. Rethrows a latched failure:
+  /// the pipeline's, or a background checkpoint persist's.
   void sync_durable() override;
 
   /// The command log, when cfg.durable enabled one (tests/introspection).
@@ -199,10 +209,19 @@ class quecc_engine final : public proto::engine {
   /// one of the two for an engine's lifetime.
   EPILOGUE_PHASE void run_epilogue(std::uint64_t n);
   PLAN_PHASE void log_batch_record(const txn::batch& b);
-  /// Append batch b's commit record (+ take a due checkpoint) and return
-  /// the commit record's lsn. Quiescent-half only: the checkpoint scans
-  /// the database and the commit record may carry its state hash.
+  /// Append batch b's commit record (+ capture a due checkpoint into
+  /// captured_) and return the commit record's lsn. Quiescent-half only:
+  /// the capture copies the database and the commit record may carry its
+  /// state hash.
   EPILOGUE_PHASE std::uint64_t log_commit_record(const txn::batch& b);
+  /// Latch the first epilogue failure and wake every waiter.
+  void fail_stop(std::exception_ptr e);
+  /// Block until no checkpoint image is in flight; rethrow a latched
+  /// persist failure.
+  void await_persist();
+  /// Background persister: persist each handed-off image, then truncate
+  /// the log below its segment base.
+  void persister_main();
 
   storage::database& db_;
   common::config cfg_;
@@ -245,6 +264,9 @@ class quecc_engine final : public proto::engine {
   std::uint64_t epilogue_done_ GUARDED_BY(mu_) = 0;
   std::uint64_t drained_ GUARDED_BY(mu_) = 0;  ///< retired (slot freed)
   bool stop_ GUARDED_BY(mu_) = false;
+  /// First exception out of a batch's epilogue: the pipeline stops at that
+  /// batch, and drain_batch / submit_batch / sync_durable rethrow it.
+  std::exception_ptr failed_ GUARDED_BY(mu_);
 
   // Epilogue-owner state: touched only by run_epilogue, which runs on
   // exactly one thread for the engine's lifetime (the epilogue worker in
@@ -268,6 +290,23 @@ class quecc_engine final : public proto::engine {
   // Epilogue-owner state (see above).
   std::uint64_t durable_stream_pos_ = 0;  ///< cumulative txns logged
   std::uint32_t batches_since_ckpt_ = 0;
+  /// Image captured at this retirement's quiescent point; handed to the
+  /// persister once published_ has released the executors.
+  std::unique_ptr<log::checkpoint_image> captured_;
+
+  // --- background checkpoint persist --------------------------------------
+  // At most one image is in flight: the next capture first awaits the
+  // previous persist. ckpt_mu_ guards the hand-off and the latched error.
+  common::mutex ckpt_mu_;
+  common::cond_var ckpt_cv_;
+  /// The image being persisted; reset when its persist (and the log
+  /// truncation after it) finished or failed.
+  std::unique_ptr<log::checkpoint_image> ckpt_pending_ GUARDED_BY(ckpt_mu_);
+  bool ckpt_stop_ GUARDED_BY(ckpt_mu_) = false;
+  /// First persist failure. No segment is deleted after it; sync_durable()
+  /// and the next checkpoint rethrow it.
+  std::exception_ptr ckpt_error_ GUARDED_BY(ckpt_mu_);
+  std::thread persister_;  ///< durable runs with checkpoints only
 };
 
 }  // namespace quecc::core

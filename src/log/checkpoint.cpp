@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cinttypes>
 #include <cstring>
 #include <filesystem>
@@ -22,10 +23,6 @@ namespace quecc::log {
 
 namespace fs = std::filesystem;
 
-using wire::put_u16;
-using wire::put_u32;
-using wire::put_u64;
-
 namespace {
 
 constexpr std::uint32_t kCkptMagic = 0x504B4351u;  // "QCKP" little-endian
@@ -41,79 +38,192 @@ constexpr std::uint32_t kCkptMagic = 0x504B4351u;  // "QCKP" little-endian
 // rebuilds the index bit-identically.
 constexpr std::uint32_t kCkptVersion = 3;
 
+// capture() memcpys native integers and keys straight into the image, and
+// persist() hashes the image's key bytes as table::state_hash hashes the
+// in-memory key; both equal the little-endian file format only on a
+// little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint images are built with native-endian memcpy");
+
+// Fixed offsets within the v3 header (see checkpoint.hpp).
+constexpr std::size_t kHashOffset = 4 + 4 + 4 + 8;         // state_hash
+constexpr std::size_t kHeaderBytes = kHashOffset + 8 + 4;  // + table_count
+
+/// Throw for a failed syscall on `path`, quoting errno.
+[[noreturn]] void io_fail(const char* what, const std::string& path,
+                          int err) {
+  throw std::runtime_error(std::string("checkpoint: ") + what + " '" + path +
+                           "': " + std::strerror(err));
+}
+
 /// Write `bytes` to `path` atomically: tmp file, fsync, rename, fsync dir.
+/// Every step is checked; a failure before the rename unlinks the tmp
+/// file, so the previous `name` (if any) stays the live one.
 void atomic_write(const std::string& dir, const std::string& name,
                   std::span<const std::byte> bytes) {
   const std::string tmp = dir + "/" + name + ".tmp";
   const std::string final_path = dir + "/" + name;
   const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw std::runtime_error("checkpoint: cannot open '" + tmp +
-                             "': " + std::strerror(errno));
-  }
+  if (fd < 0) io_fail("cannot open", tmp, errno);
+  auto abandon = [&](const char* what, bool close_fd) {
+    const int err = errno;
+    if (close_fd) ::close(fd);
+    ::unlink(tmp.c_str());
+    io_fail(what, tmp, err);
+  };
   const std::byte* p = bytes.data();
   std::size_t n = bytes.size();
   while (n > 0) {
     const ssize_t w = ::write(fd, p, n);
     if (w < 0) {
       if (errno == EINTR) continue;
-      ::close(fd);
-      throw std::runtime_error("checkpoint: write failed");
+      abandon("write failed on", true);
     }
     p += w;
     n -= static_cast<std::size_t>(w);
   }
-  ::fsync(fd);
-  ::close(fd);
-  fs::rename(tmp, final_path);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
+  if (::fsync(fd) != 0) abandon("fsync failed on", true);
+  if (::close(fd) != 0) abandon("close failed on", false);
+  if (::rename(tmp.c_str(), final_path.c_str()) != 0) {
+    abandon("rename failed on", false);
   }
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd < 0) io_fail("cannot open directory", dir, errno);
+  if (::fsync(dfd) != 0) {
+    const int err = errno;
+    ::close(dfd);
+    io_fail("fsync failed on directory", dir, err);
+  }
+  ::close(dfd);
+}
+
+/// Sequential writer over capture()'s pre-sized image buffer.
+struct image_cursor {
+  std::byte* p;
+
+  template <class T>
+  void put(T v) noexcept {
+    std::memcpy(p, &v, sizeof v);
+    p += sizeof v;
+  }
+  void put_bytes(const void* src, std::size_t n) noexcept {
+    std::memcpy(p, src, n);
+    p += n;
+  }
+};
+
+/// database::state_hash of the database an image was captured from,
+/// computed from the image alone: per row FNV-1a over key + payload,
+/// summed per table, tables folded with the per-table rotate — the same
+/// arithmetic as table::state_hash / database::state_hash.
+std::uint64_t image_state_hash(std::span<const std::byte> body) {
+  wire::reader r(body.subspan(kHeaderBytes - 4), "checkpoint");
+  const std::uint32_t tables = r.u32();
+  std::uint64_t h = 0;
+  for (std::uint32_t i = 0; i < tables; ++i) {
+    r.bytes(r.u16());  // name
+    const std::size_t row_size = r.u32();
+    r.u8();  // index kind
+    const std::uint16_t shards = r.u16();
+    std::uint64_t acc = 0;
+    for (std::uint16_t s = 0; s < shards; ++s) {
+      const std::uint64_t rows = r.u64();
+      const std::size_t stride = sizeof(key_t) + row_size;
+      const std::byte* row = r.bytes(rows * stride).data();
+      for (std::uint64_t k = 0; k < rows; ++k, row += stride) {
+        std::uint64_t rh = 1469598103934665603ull;
+        for (std::size_t b = 0; b < stride; ++b) {
+          rh ^= static_cast<std::uint64_t>(row[b]);
+          rh *= 1099511628211ull;
+        }
+        acc += rh;
+      }
+    }
+    h = (h << 1) ^ (h >> 63) ^ acc;
+  }
+  return h;
 }
 
 }  // namespace
 
-checkpoint_meta checkpointer::take(const storage::database& db,
-                                   std::uint32_t batch_id,
-                                   std::uint64_t stream_pos,
-                                   std::uint32_t segment_base) {
+checkpoint_image checkpointer::capture(const storage::database& db,
+                                       std::uint32_t batch_id,
+                                       std::uint64_t stream_pos,
+                                       std::uint32_t segment_base) const {
   const std::uint64_t t0 = common::now_nanos();
-  checkpoint_meta meta;
-  meta.batch_id = batch_id;
-  meta.stream_pos = stream_pos;
-  meta.state_hash = db.state_hash();
-  meta.file = "checkpoint-" + std::to_string(batch_id) + ".qck";
-  meta.segment_base = segment_base;
+  checkpoint_image img;
+  img.meta.batch_id = batch_id;
+  img.meta.stream_pos = stream_pos;
+  img.meta.file = "checkpoint-" + std::to_string(batch_id) + ".qck";
+  img.meta.segment_base = segment_base;
 
-  std::vector<std::byte> out;
-  put_u32(out, kCkptMagic);
-  put_u32(out, kCkptVersion);
-  put_u32(out, batch_id);
-  put_u64(out, stream_pos);
-  put_u64(out, meta.state_hash);
-  put_u32(out, static_cast<std::uint32_t>(db.table_count()));
+  // Size the image exactly, so the copy below is one allocation and a
+  // run of memcpys.
+  std::size_t size = kHeaderBytes + 4;  // + trailing CRC
   for (table_id_t id = 0; id < db.table_count(); ++id) {
     const storage::table& t = db.at(id);
-    put_u16(out, static_cast<std::uint16_t>(t.name().size()));
-    for (char c : t.name()) out.push_back(static_cast<std::byte>(c));
-    const std::size_t row_size = t.layout().row_size();
-    put_u32(out, static_cast<std::uint32_t>(row_size));
-    out.push_back(static_cast<std::byte>(t.index()));  // v3: index backend
-    put_u16(out, t.shard_count());
+    size += 2 + t.name().size() + 4 + 1 + 2;
+    const std::size_t stride = sizeof(key_t) + t.layout().row_size();
     for (part_id_t s = 0; s < t.shard_count(); ++s) {
-      put_u64(out, t.live_rows_in(s));
-      t.for_each_live_in(s, [&](key_t key, storage::row_id_t rid) {
-        put_u64(out, key);
-        const auto row = t.row(rid);
-        out.insert(out.end(), row.begin(), row.end());
-      });
+      size += 8 + t.live_rows_in(s) * stride;
     }
   }
-  put_u32(out, crc32(out));
+  img.size = size;
+  img.bytes = std::make_unique_for_overwrite<std::byte[]>(size);
 
-  atomic_write(dir_, meta.file, out);
+  image_cursor out{img.bytes.get()};
+  out.put(kCkptMagic);
+  out.put(kCkptVersion);
+  out.put(batch_id);
+  out.put(stream_pos);
+  out.put(std::uint64_t{0});  // state_hash: persist() patches it in
+  out.put(static_cast<std::uint32_t>(db.table_count()));
+  for (table_id_t id = 0; id < db.table_count(); ++id) {
+    const storage::table& t = db.at(id);
+    out.put(static_cast<std::uint16_t>(t.name().size()));
+    out.put_bytes(t.name().data(), t.name().size());
+    const std::size_t row_size = t.layout().row_size();
+    out.put(static_cast<std::uint32_t>(row_size));
+    out.put(static_cast<std::uint8_t>(t.index()));  // v3: index backend
+    out.put(static_cast<std::uint16_t>(t.shard_count()));
+    for (part_id_t s = 0; s < t.shard_count(); ++s) {
+      const std::uint64_t rows = t.live_rows_in(s);
+      out.put(rows);
+      std::uint64_t seen = 0;
+      t.for_each_live_in(s, [&](key_t key, storage::row_id_t rid) {
+        if (seen++ >= rows) return;  // guarded below; never overrun
+        out.put(key);
+        out.put_bytes(t.row(rid).data(), row_size);
+      });
+      if (seen != rows) {
+        throw std::logic_error("checkpoint: table '" + t.name() +
+                               "' visited a row count other than "
+                               "live_rows_in");
+      }
+      img.rows += rows;
+    }
+  }
+  std::memset(out.p, 0, 4);  // CRC: persist() fills it in
+
+  const std::uint64_t t1 = common::now_nanos();
+  img.capture_nanos = t1 - t0;
+  static const obs::histogram dur("checkpoint.capture_nanos");
+  dur.record_nanos(img.capture_nanos);
+  obs::record_span(obs::trace_stage::checkpoint_capture, t0, t1 - t0,
+                   batch_id);
+  return img;
+}
+
+checkpoint_meta checkpointer::persist(checkpoint_image& img) const {
+  const std::uint64_t t0 = common::now_nanos();
+  checkpoint_meta& meta = img.meta;
+  const std::span<std::byte> body(img.bytes.get(), img.size - 4);
+  meta.state_hash = image_state_hash(body);
+  std::memcpy(body.data() + kHashOffset, &meta.state_hash, 8);
+  const std::uint32_t crc = crc32(body);
+  std::memcpy(body.data() + body.size(), &crc, 4);
+
+  atomic_write(dir_, meta.file, {img.bytes.get(), img.size});
   write_manifest(dir_, meta);
   // The manifest now points at the new checkpoint; older snapshots (and
   // any stale .tmp from a crashed attempt) are dead weight.
@@ -124,22 +234,25 @@ checkpoint_meta checkpointer::take(const storage::database& db,
     }
   }
 
-  std::uint64_t rows = 0;
-  for (table_id_t id = 0; id < db.table_count(); ++id) {
-    const storage::table& t = db.at(id);
-    for (part_id_t s = 0; s < t.shard_count(); ++s) rows += t.live_rows_in(s);
-  }
   const std::uint64_t t1 = common::now_nanos();
   static const obs::counter taken("checkpoint.taken_total");
   static const obs::counter rows_ctr("checkpoint.rows_total");
   static const obs::counter bytes_ctr("checkpoint.bytes_total");
   static const obs::histogram dur("checkpoint.duration_nanos");
   taken.inc();
-  rows_ctr.inc(rows);
-  bytes_ctr.inc(out.size());
-  dur.record_nanos(t1 - t0);
-  obs::record_span(obs::trace_stage::checkpoint, t0, t1 - t0, batch_id);
+  rows_ctr.inc(img.rows);
+  bytes_ctr.inc(img.size);
+  dur.record_nanos(img.capture_nanos + (t1 - t0));  // capture + persist
+  obs::record_span(obs::trace_stage::checkpoint, t0, t1 - t0, meta.batch_id);
   return meta;
+}
+
+checkpoint_meta checkpointer::take(const storage::database& db,
+                                   std::uint32_t batch_id,
+                                   std::uint64_t stream_pos,
+                                   std::uint32_t segment_base) const {
+  checkpoint_image img = capture(db, batch_id, stream_pos, segment_base);
+  return persist(img);
 }
 
 std::optional<checkpoint_meta> read_manifest(const std::string& dir) {

@@ -206,21 +206,28 @@ std::uint64_t log_writer::fsyncs() const {
   return fsyncs_;
 }
 
-std::uint32_t log_writer::rotate_and_truncate() {
+std::uint32_t log_writer::rotate() {
   common::mutex_lock lk(mu_);
-  ::fsync(fd_);
+  if (::fsync(fd_) != 0) {
+    throw std::runtime_error("log_writer: fsync failed at rotation of '" +
+                             segment_name(segment_) +
+                             "': " + std::strerror(errno));
+  }
   ++fsyncs_;
   fsyncs_total().inc();
   ::close(fd_);
-  const std::uint32_t old = segment_;
-  open_segment(old + 1);
+  open_segment(segment_ + 1);
   durable_ = appended_;  // everything written so far was just fsynced
+  const std::uint32_t base = segment_;
   lk.unlock();
   durable_cv_.notify_all();
+  return base;
+}
+
+void log_writer::truncate_below(std::uint32_t base) const {
   for (std::uint32_t n : list_segments(dir_, 0)) {
-    if (n <= old) fs::remove(dir_ + "/" + segment_name(n));
+    if (n < base) fs::remove(dir_ + "/" + segment_name(n));
   }
-  return old + 1;
 }
 
 void log_writer::flusher_main() {

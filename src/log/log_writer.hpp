@@ -92,11 +92,17 @@ class log_writer {
   std::uint32_t segment_index() const;
   std::uint64_t fsyncs() const;  ///< total fsync calls (group-commit tests)
 
-  /// Checkpoint support: fsync + close the current segment, open segment
-  /// `segment_index()+1`, and delete every older segment file — their
-  /// batches are covered by the checkpoint the caller just wrote. Returns
-  /// the new segment index.
-  std::uint32_t rotate_and_truncate();
+  /// Checkpoint support, at the capture point: fsync + close the current
+  /// segment and open segment `segment_index()+1`; every byte appended so
+  /// far becomes durable. Returns the new segment index — the checkpoint's
+  /// segment_base. Throws std::runtime_error when the fsync fails.
+  std::uint32_t rotate();
+
+  /// Checkpoint support, after the manifest naming the new checkpoint is
+  /// durable: delete every segment file below `base` — their batches are
+  /// covered by that checkpoint. Touches only files, never the segment
+  /// being appended, so it may run on a background thread.
+  void truncate_below(std::uint32_t base) const;
 
   const std::string& dir() const noexcept { return dir_; }
 

@@ -19,6 +19,7 @@ std::string_view trace_stage_name(trace_stage s) noexcept {
     case trace_stage::epilogue: return "epilogue";
     case trace_stage::log_append: return "log_append";
     case trace_stage::fsync: return "fsync";
+    case trace_stage::checkpoint_capture: return "checkpoint_capture";
     case trace_stage::checkpoint: return "checkpoint";
     case trace_stage::replay: return "replay";
     case trace_stage::kStageCount: break;

@@ -39,14 +39,15 @@ namespace quecc::obs {
 
 /// Pipeline stages a span can describe, in pipeline order.
 enum class trace_stage : std::uint8_t {
-  admission,   ///< batch formation / admission-queue wait
-  plan,        ///< planner turns a batch slice into fragment queues
-  exec,        ///< executor drains its fragment queues
-  epilogue,    ///< commit epilogue (spec resolution, per-batch accounting)
-  log_append,  ///< log writer appending a batch's records
-  fsync,       ///< group-commit fsync covering one or more batches
-  checkpoint,  ///< checkpointer writing a snapshot
-  replay,      ///< recovery replaying a logged batch
+  admission,           ///< batch formation / admission-queue wait
+  plan,                ///< planner turns a batch slice into fragment queues
+  exec,                ///< executor drains its fragment queues
+  epilogue,            ///< commit epilogue (spec resolution, accounting)
+  log_append,          ///< log writer appending a batch's records
+  fsync,               ///< group-commit fsync covering one or more batches
+  checkpoint_capture,  ///< checkpoint image copied at the batch boundary
+  checkpoint,          ///< checkpoint image hashed, written and published
+  replay,              ///< recovery replaying a logged batch
   kStageCount
 };
 

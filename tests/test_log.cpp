@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string_view>
 
 #include "core/engine.hpp"
 #include "harness/runner.hpp"
@@ -57,6 +60,16 @@ common::config small_engine_cfg() {
   cfg.executor_threads = 2;
   cfg.partitions = 4;
   return cfg;
+}
+
+/// Whole file as bytes.
+std::vector<std::byte> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> raw((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  std::vector<std::byte> out(raw.size());
+  std::memcpy(out.data(), raw.data(), raw.size());
+  return out;
 }
 
 /// State hash after running the first `batches` batches of the stream
@@ -167,6 +180,44 @@ TEST(PlanCodec, CommitInfoRoundTrip) {
 std::vector<std::byte> bytes_of(const std::string& s) {
   const auto* p = reinterpret_cast<const std::byte*>(s.data());
   return {p, p + s.size()};
+}
+
+// --- crc32 ------------------------------------------------------------------
+
+std::span<const std::byte> as_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
+}
+
+/// The bitwise definition of CRC-32 (IEEE, reflected): the reference the
+/// table-driven log::crc32 must reproduce exactly.
+std::uint32_t crc32_reference(std::span<const std::byte> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::byte b : data) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownVectors) {
+  EXPECT_EQ(log::crc32(as_bytes("123456789")), 0xCBF43926u);
+  EXPECT_EQ(log::crc32({}), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0..64 at every start offset 0..7 crosses the slice-by-8
+  // loop's head and tail handling; the 1 MB buffer covers the long run.
+  common::rng r(42);
+  std::vector<std::byte> buf(1 << 20);
+  for (auto& b : buf) b = static_cast<std::byte>(r.next());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::byte> s(buf.data() + off, len);
+      ASSERT_EQ(log::crc32(s), crc32_reference(s))
+          << "offset " << off << " length " << len;
+    }
+  }
+  EXPECT_EQ(log::crc32(buf), crc32_reference(buf));
 }
 
 TEST(LogWriter, AppendThenScanRoundTrips) {
@@ -328,6 +379,66 @@ TEST(Checkpoint, ShardedRestoreRebuildsEachArena) {
   wrong.create_table("t", s, 64, /*shards=*/2);
   EXPECT_THROW(log::restore_checkpoint(dir.path + "/" + meta.file, wrong),
                std::runtime_error);
+}
+
+// The split checkpoint (capture at the boundary, persist later) writes
+// exactly the bytes take() writes, and both keep format v3's bytes: the
+// golden below was produced before the split, from the same database.
+TEST(Checkpoint, CaptureThenPersistWritesTheBytesTakeWrites) {
+  wl::ycsb w(small_ycsb());
+  storage::database db;
+  w.load(db);
+
+  temp_dir a, b;
+  const auto via_take = log::checkpointer(a.path).take(db, 2, 300, 1);
+  const log::checkpointer ck(b.path);
+  auto img = ck.capture(db, 2, 300, 1);
+  const auto via_split = ck.persist(img);
+  EXPECT_EQ(via_take.state_hash, db.state_hash());
+  EXPECT_EQ(via_split.state_hash, db.state_hash());
+
+  const auto bytes = read_file(a.path + "/" + via_take.file);
+  EXPECT_EQ(read_file(b.path + "/" + via_split.file), bytes);
+  EXPECT_EQ(read_file(a.path + "/MANIFEST"), read_file(b.path + "/MANIFEST"));
+
+  ASSERT_EQ(bytes.size(), 90198u);
+  EXPECT_EQ(via_take.state_hash, 0xdd3bc303d8f5435cull);
+  std::uint32_t trailer = 0;
+  std::memcpy(&trailer, bytes.data() + bytes.size() - 4, 4);
+  EXPECT_EQ(trailer, 0x9a2e76a6u);
+}
+
+// persist() works from the image alone: whatever happens to the database
+// after capture, the file — and the hash it records — is the capture-time
+// state.
+TEST(Checkpoint, PersistWritesTheCaptureTimeState) {
+  wl::ycsb w(small_ycsb());
+  storage::database db;
+  w.load(db);
+  const std::uint64_t at_capture = db.state_hash();
+
+  temp_dir dir;
+  const log::checkpointer ck(dir.path);
+  auto img = ck.capture(db, 0, 0, 1);
+
+  storage::table& t = db.at(0);
+  const storage::row_id_t rid = t.lookup_local(5, 5 % 4);
+  ASSERT_NE(rid, storage::kNoRow);
+  t.row(rid)[0] ^= std::byte{0xFF};
+  std::vector<std::byte> payload(t.layout().row_size(), std::byte{3});
+  ASSERT_NE(t.insert(1'000'000, payload, 0), storage::kNoRow);
+  ASSERT_NE(db.state_hash(), at_capture);
+
+  const auto meta = ck.persist(img);
+  EXPECT_EQ(meta.state_hash, at_capture);
+  EXPECT_EQ(log::read_manifest(dir.path)->state_hash, at_capture);
+
+  storage::database fresh;
+  w.load(fresh);
+  const auto restored =
+      log::restore_checkpoint(dir.path + "/" + meta.file, fresh);
+  EXPECT_EQ(restored.state_hash, at_capture);
+  EXPECT_EQ(fresh.state_hash(), at_capture);
 }
 
 TEST(Checkpoint, CorruptFileFailsItsCrc) {
@@ -623,6 +734,143 @@ TEST(Recovery, MidCheckpointCrashLeftoversAreIgnored) {
   EXPECT_TRUE(rec.res.checkpoint_loaded);
   EXPECT_EQ(rec.res.checkpoint_batch, 3u);  // the last *published* one
   EXPECT_EQ(rec.hash, live_hash);
+}
+
+// Checkpoint every batch: each capture first awaits the previous batch's
+// background persist (still hashing and writing when the next one is
+// due), and the log is truncated only behind published manifests.
+TEST(Recovery, CheckpointEveryBatchRecoversToUninterruptedHash) {
+  temp_dir dir;
+  wl::ycsb w(small_ycsb());
+  {
+    storage::database db;
+    w.load(db);
+    common::config cfg = small_engine_cfg();
+    cfg.durable = true;
+    cfg.log_dir = dir.path;
+    cfg.checkpoint_interval_batches = 1;
+    cfg.log_verify_hash = true;
+    core::quecc_engine eng(db, cfg);
+    harness::run_options opts;
+    opts.batches = 8;
+    opts.batch_size = kBatchSize;
+    opts.seed = kSeed;
+    opts.durability = true;
+    const auto res = harness::run_workload(eng, w, db, opts);
+    EXPECT_EQ(res.final_state_hash, reference_hash(8, kBatchSize, kSeed));
+  }
+  const auto manifest = log::read_manifest(dir.path);
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->batch_id, 7u);
+  EXPECT_EQ(log::list_segments(dir.path, 0).front(), manifest->segment_base);
+
+  const auto rec = recover_fresh(dir.path);
+  EXPECT_TRUE(rec.res.checkpoint_loaded);
+  EXPECT_EQ(rec.res.checkpoint_batch, 7u);
+  EXPECT_EQ(rec.res.batches_replayed, 0u);
+  EXPECT_EQ(rec.res.txns_applied, 8u * kBatchSize);
+  EXPECT_EQ(rec.hash, reference_hash(8, kBatchSize, kSeed));
+}
+
+// Crash window between capture and persist: the epilogue captured a
+// checkpoint and rotated the log, but the process died before the
+// persister wrote the file or the manifest. The previous manifest and
+// every segment it names are still on disk, so recovery restores the old
+// checkpoint and replays everything after it.
+TEST(Recovery, CrashBetweenCaptureAndPersistRecoversFromOldManifest) {
+  temp_dir dir;
+  wl::ycsb w(small_ycsb());
+  storage::database db;
+  w.load(db);
+  core::quecc_engine eng(db, small_engine_cfg());
+  log::log_writer lw(dir.path, {});
+  const log::checkpointer ck(dir.path);
+  common::rng r(kSeed);
+  common::run_metrics m;
+  std::uint64_t stream_pos = 0;
+  constexpr std::uint32_t kRun = 6;
+  for (std::uint32_t i = 0; i < kRun; ++i) {
+    txn::batch b = w.make_batch(r, kBatchSize, i);
+    std::vector<std::byte> plan;
+    log::encode_batch(b, plan);
+    lw.append(log::record_type::batch, plan);
+    eng.run_batch(b, m);
+    stream_pos += b.size();
+    log::commit_info c;
+    c.batch_id = i;
+    c.txn_count = static_cast<std::uint32_t>(b.size());
+    for (const auto& t : b) ++(t->aborted() ? c.aborted : c.committed);
+    c.stream_pos = stream_pos;
+    std::vector<std::byte> commit;
+    log::encode_commit(c, commit);
+    lw.append(log::record_type::commit, commit);
+    if (i == 1) {  // a checkpoint that landed, in the engine's order
+      auto img = ck.capture(db, i, stream_pos, lw.rotate());
+      lw.truncate_below(ck.persist(img).segment_base);
+    } else if (i == 3) {  // captured and rotated; the persist never ran
+      (void)ck.capture(db, i, stream_pos, lw.rotate());
+    }
+  }
+  lw.wait_durable(lw.appended_lsn());
+
+  EXPECT_EQ(log::read_manifest(dir.path)->batch_id, 1u);
+  EXPECT_EQ(log::list_segments(dir.path, 0),
+            (std::vector<std::uint32_t>{1, 2}));
+  const auto rec = recover_fresh(dir.path);
+  EXPECT_TRUE(rec.res.checkpoint_loaded);
+  EXPECT_EQ(rec.res.checkpoint_batch, 1u);
+  EXPECT_EQ(rec.res.batches_replayed, 4u);  // 2..5
+  EXPECT_EQ(rec.hash, reference_hash(kRun, kBatchSize, kSeed));
+}
+
+// A persist that fails (here: a directory squats on the checkpoint's tmp
+// name, so open() fails with EISDIR) deletes no segment and publishes no
+// manifest. The next due checkpoint stops the engine with the error, and
+// sync_durable() reports it. Every commit record appended before the stop
+// is still recoverable.
+TEST(Recovery, FailedPersistKeepsTheLogAndStopsTheEngine) {
+  // Both epilogue owners: the drain caller (inline) and the epilogue
+  // worker, whose failure the drain caller must rethrow.
+  for (const bool stage3 : {false, true}) {
+    SCOPED_TRACE(stage3 ? "async epilogue" : "inline epilogue");
+    temp_dir dir;
+    fs::create_directories(dir.path + "/checkpoint-1.qck.tmp");
+    wl::ycsb w(small_ycsb());
+    {
+      std::deque<txn::batch> batches;  // outlive the engine, as submit asks
+      storage::database db;
+      w.load(db);
+      common::config cfg = small_engine_cfg();
+      cfg.async_epilogue = stage3;
+      cfg.durable = true;
+      cfg.log_dir = dir.path;
+      cfg.checkpoint_interval_batches = 2;
+      core::quecc_engine eng(db, cfg);
+      common::rng r(kSeed);
+      common::run_metrics m;
+      std::uint32_t ran = 0;
+      EXPECT_THROW(
+          {
+            for (; ran < 6; ++ran) {
+              batches.push_back(w.make_batch(r, kBatchSize, ran));
+              eng.run_batch(batches.back(), m);
+            }
+          },
+          std::runtime_error);
+      EXPECT_EQ(ran, 3u);  // batch 3's checkpoint met the failed persist
+      EXPECT_THROW(eng.sync_durable(), std::runtime_error);
+      EXPECT_THROW(eng.drain_batch(), std::runtime_error);
+    }
+    EXPECT_FALSE(fs::exists(dir.path + "/MANIFEST"));
+    EXPECT_FALSE(fs::exists(dir.path + "/checkpoint-1.qck"));
+    EXPECT_EQ(log::list_segments(dir.path, 0),
+              (std::vector<std::uint32_t>{0, 1}));
+
+    const auto rec = recover_fresh(dir.path);
+    EXPECT_FALSE(rec.res.checkpoint_loaded);
+    EXPECT_EQ(rec.res.batches_replayed, 4u);  // 0..3 logged their commits
+    EXPECT_EQ(rec.hash, reference_hash(4, kBatchSize, kSeed));
+  }
 }
 
 // Open-loop (session) path: Poisson arrivals through proto::session with a

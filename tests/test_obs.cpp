@@ -12,6 +12,8 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -441,6 +443,65 @@ TEST_F(ObsTest, ChromeTraceJsonIsValid) {
   // The batch-less span must not claim a batch/slot.
   EXPECT_NE(doc.find("\"name\":\"checkpoint\""), std::string::npos);
 #endif
+}
+
+// A checkpoint's capture (the pipeline stall) is recorded at the batch
+// boundary by the epilogue owner; its persist span comes from the
+// background persister thread. checkpoint.duration_nanos covers both.
+TEST_F(ObsTest, CheckpointCaptureAndPersistAreRecordedSeparately) {
+  OBS_SKIP_IF_COMPILED_OUT();
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "quecc-obs-XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  obs::set_tracing_enabled(true);
+  wl::ycsb_config wcfg;
+  wcfg.table_size = 4096;
+  auto w = wl::ycsb(wcfg);
+  auto db = testutil::make_loaded_db(w);
+  common::config cfg;
+  cfg.planner_threads = 1;
+  cfg.executor_threads = 2;
+  cfg.durable = true;
+  cfg.log_dir = dir;
+  cfg.checkpoint_interval_batches = 2;
+  {
+    core::quecc_engine eng(*db, cfg);
+    common::rng r(7);
+    common::run_metrics m;
+    for (int i = 0; i < 4; ++i) {
+      auto b = w.make_batch(r, 256, i);
+      eng.run_batch(b, m);
+    }
+  }  // joins the persister
+  obs::set_tracing_enabled(false);
+  std::filesystem::remove_all(dir);
+
+  const auto snap = obs::snapshot_metrics();
+  const common::latency_histogram* capture = nullptr;
+  const common::latency_histogram* total = nullptr;
+  for (const auto& [n, hist] : snap.histograms) {
+    if (n == "checkpoint.capture_nanos") capture = &hist;
+    if (n == "checkpoint.duration_nanos") total = &hist;
+  }
+  ASSERT_NE(capture, nullptr);
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(capture->count(), 2u);
+  EXPECT_EQ(total->count(), 2u);
+  EXPECT_GE(total->sum_nanos(), capture->sum_nanos());
+
+  std::vector<std::uint32_t> capture_tids, persist_tids;
+  for (const auto& ev : obs::snapshot_trace()) {
+    if (ev.stage == obs::trace_stage::checkpoint_capture) {
+      capture_tids.push_back(ev.tid);
+    } else if (ev.stage == obs::trace_stage::checkpoint) {
+      persist_tids.push_back(ev.tid);
+    }
+  }
+  ASSERT_EQ(capture_tids.size(), 2u);
+  ASSERT_EQ(persist_tids.size(), 2u);
+  for (std::uint32_t p : persist_tids) {
+    for (std::uint32_t c : capture_tids) EXPECT_NE(p, c);
+  }
 }
 
 // --- observability never perturbs execution ---------------------------------

@@ -15,7 +15,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -423,6 +426,34 @@ TEST(Checkpoint, OrderedArenaRoundTrips) {
   log::checkpointer ck2(dir2.path);
   const auto meta2 = ck2.take(dst, 1, 33, 1);
   EXPECT_EQ(meta2.state_hash, meta.state_hash);
+}
+
+// capture() + persist() writes the bytes take() writes on ordered arenas
+// too: the image keeps the skip list's ascending-key visit order.
+TEST(Checkpoint, OrderedCaptureThenPersistMatchesTake) {
+  storage::database src;
+  auto& t = src.create_table("t", ordered_u64_schema(), 256, 2);
+  std::vector<std::byte> p(8);
+  for (int k = 97; k > 0; k -= 3) {
+    storage::write_u64(std::span<std::byte>(p), 0,
+                       static_cast<std::uint64_t>(k) * 11);
+    t.insert(static_cast<key_t>(k), p, static_cast<part_id_t>(k % 2));
+  }
+  temp_dir a, b;
+  const auto via_take = log::checkpointer(a.path).take(src, 4, 9, 2);
+  const log::checkpointer ck(b.path);
+  auto img = ck.capture(src, 4, 9, 2);
+  const auto via_split = ck.persist(img);
+  EXPECT_EQ(via_split.state_hash, src.state_hash());
+  EXPECT_EQ(via_take.state_hash, src.state_hash());
+  auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string bytes = slurp(a.path + "/" + via_take.file);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(slurp(b.path + "/" + via_split.file), bytes);
 }
 
 TEST(Checkpoint, IndexBackendMismatchRejected) {
